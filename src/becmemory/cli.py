@@ -1,10 +1,13 @@
 """Command-line front end: ``becmem <figN|tomography|optimize> [options]``.
 
-Exit codes: 0 on success, 2 for configuration errors, 3 for numerical
-failures (non-convergent fits, singular reconstructions).
+Exit codes: 0 on success; 2 for any bad configuration (unknown key,
+malformed, non-finite, out-of-range or inconsistent value, unreadable
+file); 3 only for numerical failures (non-convergent fits, singular
+reconstructions, a non-finite value in the output table).
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -13,17 +16,6 @@ from . import __version__
 from .commands import COMMANDS
 from .config import ConfigError, load_config
 from .csvio import write_table
-
-_HELP = {
-    "fig3": "Faraday rotation trace s1/s0 vs storage time",
-    "fig4": "damping factor alpha vs storage time for the noise presets",
-    "fig5": "Gaussian decay of the efficiency in a pure condensate",
-    "fig6": "bimodal efficiency decay with an uncondensed fraction",
-    "fig7": "efficiency factors vs control Rabi frequency",
-    "fig8": "probe susceptibility vs two-photon detuning",
-    "tomography": "synthetic process tomography run",
-    "optimize": "2-D optimization of the write-read efficiency",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"becmem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=_HELP[name])
+        p = sub.add_parser(name, help=(fn.__doc__ or "").split("\n")[0])
         p.add_argument("--config", metavar="PATH",
                        help="flat key=value config file")
         p.add_argument("--out", metavar="PATH", help="output CSV path")
@@ -56,11 +48,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides, args.preset,
                           args.seed)
-    except ConfigError as exc:
-        print(f"becmem: config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         table = COMMANDS[args.command](cfg)
+        if not all(math.isfinite(v) for row in table.rows for v in row
+                   if isinstance(v, float)):
+            raise ArithmeticError("non-finite value in the output table")
     except ConfigError as exc:
         print(f"becmem: config error: {exc}", file=sys.stderr)
         return 2

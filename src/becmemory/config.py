@@ -4,7 +4,10 @@ Config files are plain text, one ``key = value`` per line, ``#`` comments.
 Keys are namespaced and carry their unit in the name (MHz for ordinary
 frequencies, ns/us/ms for times, G/mG for fields, um for lengths); all
 quantities are converted to SI/angular units when the typed RunConfig is
-built.  Defaults reproduce the reference experiment.
+built.  Defaults reproduce the reference experiment.  SCHEMA declares every
+key once, with its default and allowed range; a value from a file, --set,
+--preset, --seed or a typed mapping is parsed and checked there, so the
+commands read typed, in-range values.
 """
 
 import math
@@ -20,100 +23,127 @@ class ConfigError(Exception):
     """Invalid configuration file, key or value."""
 
 
-DEFAULTS = {
+# Value rules: (text for error messages, predicate).
+POSITIVE = ("> 0", lambda v: v > 0)
+NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
+
+
+def _at_least(n: int):
+    return (f">= {n}", lambda v: v >= n)
+
+
+def _each(rule):
+    """Rule for a comma-separated list: non-empty, each entry obeys rule."""
+    text, ok = rule
+
+    def check(value: str) -> bool:
+        try:
+            values = parse_float_list(value)
+        except ValueError:
+            return False
+        return bool(values) and all(math.isfinite(v) and ok(v)
+                                    for v in values)
+    return (f"a non-empty list of numbers, each {text}", check)
+
+
+NOISE_PRESET = (f"one of {', '.join(sorted(NOISE_PRESETS))} or custom",
+                lambda v: v in NOISE_PRESETS or v == "custom")
+
+# key -> (default, rule or None).  The default's type is the key's type;
+# float keys also reject nan and inf.  Cross-key rules are in from_mapping.
+SCHEMA = {
     # condensate and probe transition
-    "medium.atom_number": 1.2e6,
-    "medium.radius_x_um": 7.0,
-    "medium.radius_y_um": 25.0,
-    "medium.radius_z_um": 25.0,
-    "medium.gamma_inv_ns": 26.0,        # excited-state lifetime 1/Gamma
-    "medium.branching_ratio": 1.0 / 12.0,
-    "medium.lambda_p_nm": 795.0,
+    "medium.atom_number": (1.2e6, POSITIVE),
+    "medium.radius_x_um": (7.0, POSITIVE),
+    "medium.radius_y_um": (25.0, POSITIVE),
+    "medium.radius_z_um": (25.0, POSITIVE),
+    "medium.gamma_inv_ns": (26.0, POSITIVE),    # lifetime 1/Gamma
+    "medium.branching_ratio": (1.0 / 12.0, ("in (0, 1]",
+                                            lambda v: 0 < v <= 1)),
+    "medium.lambda_p_nm": (795.0, POSITIVE),
     # >0: rescale the atom number so the on-axis optical depth hits this
-    # value before generating figures; 0 disables the rescaling.
-    "medium.dp_target": 127.0,
+    # value before generating figures; <= 0 disables the rescaling.
+    "medium.dp_target": (127.0, None),
     # control beam
-    "control.omega_c_mhz": 20.0,
-    "control.delta_c_mhz": 0.0,
+    "control.omega_c_mhz": (20.0, POSITIVE),
+    "control.delta_c_mhz": (0.0, None),
     # probe pulse
-    "pulse.tau_p_ns": 94.0,
-    "pulse.t0_ns": 230.0,
-    "pulse.waist_um": 8.0,
+    "pulse.tau_p_ns": (94.0, POSITIVE),
+    "pulse.t0_ns": (230.0, None),
+    "pulse.waist_um": (8.0, POSITIVE),
     # magnetic-field noise; sigma_b_mg < 0 means "use the preset value"
-    "noise.preset": "line-synced",
-    "noise.mean_bz_g": 1.0 / 7.0,
-    "noise.sigma_b_mg": -1.0,
+    "noise.preset": ("line-synced", NOISE_PRESET),
+    "noise.mean_bz_g": (1.0 / 7.0, None),
+    "noise.sigma_b_mg": (-1.0, None),
     # synthetic detector statistics
-    "detector.relative_sigma": 0.02,
-    "detector.background": 0.0,
+    "detector.relative_sigma": (0.02, NON_NEGATIVE),
+    "detector.background": (0.0, None),
     # include the slow-light delay in the Faraday rotation angle
-    "rotation.include_pulse_delay": False,
+    "rotation.include_pulse_delay": (False, None),
     # recorded detection-path transmissions, applied only when enabled
-    "attenuation.enabled": False,
-    "attenuation.fiber": 0.66,
-    "attenuation.mode_resonant": 0.88,
-    "attenuation.mode_detuned": 0.80,
-    "attenuation.cavity": 0.8,
-    "storage.t_store_us": 1.0,
-    "seed": 12345,
-    "output.path": "",
+    "attenuation.enabled": (False, None),
+    "attenuation.fiber": (0.66, None),
+    "attenuation.mode_resonant": (0.88, None),
+    "attenuation.mode_detuned": (0.80, None),
+    "attenuation.cavity": (0.8, None),
+    "storage.t_store_us": (1.0, NON_NEGATIVE),
+    "seed": (12345, NON_NEGATIVE),
+    "output.path": ("", None),
     # per-command sweep grids
-    "fig3.window_starts_us": "0,495,980,2380",
-    "fig3.window_length_us": 25.0,
-    "fig3.step_us": 0.25,
-    "fig3.phi0_rad": 0.0,
-    "fig4.n_points": 25,
-    "fig4.shots": 400,
-    "fig4.t_max_sigma_factor": 2.2,
-    "fig5.t_max_ms": 1.5,
-    "fig5.n_points": 121,
-    "fig5.eta0": 1.0,
-    "fig5.sigma_eta_fit_ms": 0.48,
-    "fig6.t_max_ms": 0.15,
-    "fig6.n_points": 121,
-    "fig6.condensate_fractions": "0.3,0.6,0.9",
-    "fig6.temperature_uk": 1.0,
-    "fig7.omega_min_mhz": 5.0,
-    "fig7.omega_max_mhz": 60.0,
-    "fig7.n_points": 221,
-    "fig8.span_resonant_mhz": 15.0,
-    "fig8.span_detuned_mhz": 2.0,
-    "fig8.delta_c_detuned_mhz": 70.0,
-    "fig8.n_points": 601,
-    "tomography.eta0": 0.5,
-    "tomography.repeats": 1,
-    "tomography.shots": 0,              # 0: ensemble-exact output states
-    "optimize.omega_min_mhz": 1.0,
-    "optimize.omega_max_mhz": 100.0,
-    "optimize.grid": 200,
-    "optimize.averaged": True,
+    "fig3.window_starts_us": ("0,495,980,2380", _each(NON_NEGATIVE)),
+    "fig3.window_length_us": (25.0, POSITIVE),
+    "fig3.step_us": (0.25, POSITIVE),
+    "fig3.phi0_rad": (0.0, None),
+    "fig4.n_points": (25, _at_least(3)),
+    "fig4.shots": (400, _at_least(2)),
+    "fig4.t_max_sigma_factor": (2.2, POSITIVE),
+    "fig5.t_max_ms": (1.5, POSITIVE),
+    "fig5.n_points": (121, _at_least(2)),
+    "fig5.eta0": (1.0, None),
+    "fig5.sigma_eta_fit_ms": (0.48, POSITIVE),
+    "fig6.t_max_ms": (0.15, POSITIVE),
+    "fig6.n_points": (121, _at_least(2)),
+    "fig6.condensate_fractions": ("0.3,0.6,0.9", _each(FRACTION)),
+    "fig6.temperature_uk": (1.0, POSITIVE),
+    "fig7.omega_min_mhz": (5.0, POSITIVE),
+    "fig7.omega_max_mhz": (60.0, None),         # > fig7.omega_min_mhz
+    "fig7.n_points": (221, _at_least(2)),
+    "fig8.span_resonant_mhz": (15.0, POSITIVE),
+    "fig8.span_detuned_mhz": (2.0, POSITIVE),
+    "fig8.delta_c_detuned_mhz": (70.0, None),
+    "fig8.n_points": (601, _at_least(3)),
+    "tomography.eta0": (0.5, FRACTION),
+    "tomography.repeats": (1, _at_least(1)),
+    "tomography.shots": (0, NON_NEGATIVE),      # 0: ensemble-exact states
+    "optimize.omega_min_mhz": (1.0, POSITIVE),
+    "optimize.omega_max_mhz": (100.0, None),    # >= optimize.omega_min_mhz
+    "optimize.grid": (200, _at_least(2)),
+    "optimize.averaged": (True, None),
 }
 
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
 
-def _coerce(key: str, text: str):
-    """Parse a string override to the type of the key's default."""
-    default = DEFAULTS[key]
-    text = text.strip()
-    if isinstance(default, bool):
-        low = text.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"expected a boolean for {key!r}, got {text!r}")
-    if isinstance(default, int):
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise ConfigError(f"expected an integer for {key!r}, "
-                              f"got {text!r}") from exc
-    if isinstance(default, float):
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ConfigError(f"expected a number for {key!r}, "
-                              f"got {text!r}") from exc
-    return text
+
+def parse_value(key: str, value):
+    """Typed, checked value of one key, from its text or a typed value."""
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown config key {key!r}")
+    default, rule = SCHEMA[key]
+    kind = type(default)
+    text = str(value).strip()
+    try:
+        typed = _BOOLEANS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"expected {_TYPE_NAMES[kind]} for {key!r}, "
+                          f"got {text!r}") from None
+    if kind is float and not math.isfinite(typed):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    if rule is not None and not rule[1](typed):
+        raise ConfigError(f"{key} must be {rule[0]}, got {text!r}")
+    return typed
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -133,22 +163,14 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def build_mapping(file_entries: dict[str, str] | None = None,
                   overrides: list[str] | None = None) -> dict:
-    """Merge defaults, a parsed config file, and --set overrides."""
-    mapping = dict(DEFAULTS)
-    for source in (file_entries or {},):
-        for key, value in source.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
-            mapping[key] = _coerce(key, value)
+    """Typed values of config-file entries, then KEY=VALUE overrides."""
+    items = list((file_entries or {}).items())
     for item in overrides or []:
-        if "=" not in item:
+        key, sep, value = item.partition("=")
+        if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        mapping[key] = _coerce(key, value)
-    return mapping
+        items.append((key.strip(), value))
+    return {key: parse_value(key, value) for key, value in items}
 
 
 MHZ = 2.0 * math.pi * 1e6      # ordinary MHz -> angular rad/s
@@ -169,12 +191,9 @@ class RunConfig:
     output_path: str | None
     raw: dict
 
-    def get(self, key: str):
-        return self.raw[key]
-
     @property
     def dp_target(self) -> float:
-        return float(self.raw["medium.dp_target"])
+        return self.raw["medium.dp_target"]
 
     def model_medium(self) -> MediumParams:
         """Medium used for figure generation, optionally depth-rescaled."""
@@ -189,13 +208,30 @@ class RunConfig:
         mode = self.raw["attenuation.mode_resonant"] \
             if self.control.delta_c == 0 \
             else self.raw["attenuation.mode_detuned"]
-        return float(self.raw["attenuation.fiber"] * mode
-                     * self.raw["attenuation.cavity"])
+        return self.raw["attenuation.fiber"] * mode \
+            * self.raw["attenuation.cavity"]
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
-        raw = dict(DEFAULTS)
-        raw.update(mapping)
+        """Check ``mapping`` (text or typed values) against SCHEMA and
+        build the typed view; missing keys take their defaults."""
+        raw = {key: default for key, (default, _) in SCHEMA.items()}
+        raw.update((key, parse_value(key, value))
+                   for key, value in mapping.items())
+        preset = raw["noise.preset"]
+        sigma_mg = raw["noise.sigma_b_mg"]
+        if preset != "custom" and sigma_mg >= 0:
+            raise ConfigError("noise.sigma_b_mg is set by the preset; use "
+                              "noise.preset = custom to choose it explicitly")
+        if preset == "custom" and sigma_mg < 0:
+            raise ConfigError(
+                "noise.preset = custom requires noise.sigma_b_mg")
+        if raw["fig7.omega_max_mhz"] <= raw["fig7.omega_min_mhz"]:
+            raise ConfigError(
+                "fig7.omega_max_mhz must be > fig7.omega_min_mhz")
+        if raw["optimize.omega_max_mhz"] < raw["optimize.omega_min_mhz"]:
+            raise ConfigError("optimize.omega_max_mhz must be >= "
+                              "optimize.omega_min_mhz")
         try:
             medium = MediumParams(
                 atom_number=raw["medium.atom_number"],
@@ -211,44 +247,27 @@ class RunConfig:
             pulse = PulseParams(tau_p=raw["pulse.tau_p_ns"] * 1e-9,
                                 t0=raw["pulse.t0_ns"] * 1e-9,
                                 waist=raw["pulse.waist_um"] * 1e-6)
-            preset = raw["noise.preset"]
-            sigma_mg = raw["noise.sigma_b_mg"]
-            if preset in NOISE_PRESETS:
-                if sigma_mg >= 0:
-                    raise ConfigError(
-                        "noise.sigma_b_mg is set by the preset; use "
-                        "noise.preset = custom to choose it explicitly")
-                noise = NoiseModel.from_preset(preset,
-                                               raw["noise.mean_bz_g"])
-            elif preset == "custom":
-                if sigma_mg < 0:
-                    raise ConfigError(
-                        "noise.preset = custom requires noise.sigma_b_mg")
+            if preset == "custom":
                 noise = NoiseModel(raw["noise.mean_bz_g"], sigma_mg * 1e-3,
                                    "custom")
             else:
-                raise ConfigError(
-                    f"unknown noise.preset {preset!r}; expected one of "
-                    f"{sorted(NOISE_PRESETS) + ['custom']}")
-            if raw["detector.relative_sigma"] < 0:
-                raise ConfigError("detector.relative_sigma must be >= 0")
-        except ConfigError:
-            raise
-        except ValueError as exc:
+                noise = NoiseModel.from_preset(preset, raw["noise.mean_bz_g"])
+        except (ValueError, ZeroDivisionError) as exc:
+            # a product of in-range keys can still underflow to 0
             raise ConfigError(str(exc)) from exc
         return cls(medium=medium, control=control, pulse=pulse, noise=noise,
                    constants=RB87_D1,
-                   detector_sigma=float(raw["detector.relative_sigma"]),
-                   detector_background=float(raw["detector.background"]),
-                   seed=int(raw["seed"]),
-                   output_path=raw["output.path"] or None,
+                   detector_sigma=raw["detector.relative_sigma"],
+                   detector_background=raw["detector.background"],
+                   seed=raw["seed"], output_path=raw["output.path"] or None,
                    raw=raw)
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None,
                 preset: str | None = None,
                 seed: int | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus command-line overrides."""
+    """Build a RunConfig from an optional file plus command-line overrides;
+    ``preset`` and ``seed`` are overrides of noise.preset and seed."""
     entries = None
     if path is not None:
         try:
@@ -257,21 +276,14 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") \
                 from exc
-    mapping = build_mapping(entries, overrides)
+    overrides = list(overrides or [])
     if preset is not None:
-        if preset not in NOISE_PRESETS and preset != "custom":
-            raise ConfigError(f"unknown preset {preset!r}")
-        mapping["noise.preset"] = preset
+        overrides.append(f"noise.preset={preset}")
     if seed is not None:
-        mapping["seed"] = int(seed)
-    return RunConfig.from_mapping(mapping)
+        overrides.append(f"seed={seed}")
+    return RunConfig.from_mapping(build_mapping(entries, overrides))
 
 
 def parse_float_list(text: str) -> list[float]:
     """Comma-separated floats used by list-valued config keys."""
-    try:
-        return [float(part) for part in str(text).split(",") if
-                part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") \
-            from exc
+    return [float(part) for part in text.split(",") if part.strip()]

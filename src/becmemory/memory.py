@@ -187,8 +187,12 @@ def sample_shots(u_in: PoincareVector, t_store: float, tau_d: float,
 def apply_detector_noise(intensities: np.ndarray, rng: np.random.Generator,
                          relative_sigma: float = 0.02,
                          background: float = 0.0) -> np.ndarray:
-    """Multiplicative Gaussian gain noise plus an additive background."""
+    """Multiplicative Gaussian gain noise plus an additive background.
+
+    Readings are clipped at 0: a photodiode cannot read below zero, however
+    large the gain noise or negative the background offset.
+    """
     intensities = np.asarray(intensities, dtype=float)
     noisy = intensities * (1.0 + relative_sigma * rng.standard_normal(
         intensities.shape)) + background
-    return noisy
+    return np.maximum(noisy, 0.0)

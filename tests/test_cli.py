@@ -1,12 +1,17 @@
 import math
 import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becmemory.cli import main
-from becmemory.config import (ConfigError, RunConfig, build_mapping,
-                              load_config, parse_config_text)
+from becmemory.config import (SCHEMA, ConfigError, RunConfig,
+                              build_mapping, load_config, parse_config_text,
+                              parse_float_list, parse_value)
 from becmemory.csvio import column, read_table
 
 TWO_PI = 2.0 * math.pi
@@ -40,6 +45,10 @@ class TestConfigParsing:
         assert mapping["fig4.n_points"] == 11
         assert mapping["attenuation.enabled"] is True
         assert mapping["control.omega_c_mhz"] == 15.0
+
+    def test_schema_defaults_are_in_range(self):
+        for key, (default, _) in SCHEMA.items():
+            assert parse_value(key, default) == default
 
     def test_bad_values(self):
         with pytest.raises(ConfigError):
@@ -165,6 +174,20 @@ class TestCommandLine:
         assert main(["fig3", "--set", "bogus.key=1"]) == 2
         assert "config error" in capsys.readouterr().err
         assert main(["fig3", "--set", "medium.atom_number=-2"]) == 2
+        # out-of-range, non-finite and negative-seed inputs are config
+        # errors too, not numerical failures or silent nan/inf tables
+        for argv in (["fig3", "--set", "fig3.step_us=-1"],
+                     ["fig4", "--set", "fig4.n_points=2"],
+                     ["fig6", "--set", "fig6.condensate_fractions=1.5"],
+                     ["fig6", "--set", "fig6.temperature_uk=0"],
+                     ["fig5", "--set", "fig5.sigma_eta_fit_ms=0"],
+                     ["tomography", "--set", "tomography.eta0=1.5"],
+                     ["fig3", "--seed", "-1"],
+                     ["optimize", "--set", "pulse.tau_p_ns=nan"],
+                     ["fig8", "--set", "medium.dp_target=inf"],
+                     ["fig5", "--set", "fig5.t_max_ms=inf"]):
+            assert main(argv) == 2, argv
+            assert "config error" in capsys.readouterr().err, argv
 
     def test_missing_config_file(self):
         assert main(["fig3", "--config", "/nonexistent/run.cfg"]) == 2
@@ -176,6 +199,14 @@ class TestCommandLine:
                      "--set", "fig4.shots=5"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_table_exit_code(self, capsys, tmp_path):
+        # a finite but huge depth target overflows the susceptibility
+        out = tmp_path / "fig8.csv"
+        assert main(["fig8", "--out", str(out),
+                     "--set", "medium.dp_target=1e300"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_optimize_prints_report(self, capsys):
         code = main(["optimize", "--set", "optimize.grid=24"])
@@ -338,6 +369,36 @@ class TestCommandLine:
         assert 0.0 < stats["avg_fidelity_std"] < 0.05
         assert stats["avg_fidelity_mean"] == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("setting", ["detector.relative_sigma=0.8",
+                                         "detector.background=-0.01"])
+    def test_tomography_readings_clipped_at_zero(self, setting, tmp_path):
+        out = tmp_path / "tomo.csv"
+        assert main(["tomography", "--out", str(out), "--set", setting,
+                     "--set", "tomography.repeats=20"]) == 0
+        _, header, rows = read_table(str(out))
+        readings = column(header, rows, "i_plus") \
+            + column(header, rows, "i_minus")
+        assert min(readings) == 0.0
+
+    def test_fig4_suppresses_only_the_structure_warning(self, monkeypatch):
+        from becmemory import commands
+        extract = commands.extract_memory_params
+
+        def warning_extract(mueller):
+            warnings.warn("matrix deviates from the memory form (test)")
+            warnings.warn("some other warning")
+            return extract(mueller)
+
+        monkeypatch.setattr(commands, "extract_memory_params",
+                            warning_extract)
+        cfg = RunConfig.from_mapping({"fig4.n_points": 6, "fig4.shots": 40})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            commands.cmd_fig4(cfg)
+        messages = {str(w.message) for w in caught}
+        assert "some other warning" in messages
+        assert not any(m.startswith("matrix deviates") for m in messages)
+
     def test_tomography_shot_mode(self, tmp_path):
         out = tmp_path / "tomo.csv"
         assert main(["tomography", "--out", str(out),
@@ -393,3 +454,67 @@ class TestCommandLine:
         a = np.array(column(header, rows_a, "eta_recoil_model"))
         b = np.array(column(header, rows_b, "eta_recoil_model"))
         np.testing.assert_allclose(b, a * 0.66 * 0.88 * 0.8, rtol=1e-12)
+
+
+def _override_text(key):
+    """Strategy for the text of one override: in and out of the key's
+    range, nan/inf for numbers, all near the default so grids stay small."""
+    default = SCHEMA[key][0]
+    if isinstance(default, bool):
+        return st.sampled_from(["true", "off", "1", "maybe"])
+    if isinstance(default, int):
+        return st.integers(-3, 30).map(str) | st.just("2.5")
+    if key == "noise.preset":
+        return st.sampled_from(["custom", "feed-forward", "unsynchronized",
+                                "line-synced", "bogus"])
+    listed = isinstance(default, str)
+    scale = max(map(abs, parse_float_list(default))) if listed \
+        else abs(default) or 1.0
+    number = st.builds(lambda sign, k: repr(sign * scale * 2.0**k),
+                       st.sampled_from([1, -1]), st.integers(-3, 3)) \
+        | st.sampled_from(["0", "nan", "inf", "-inf"])
+    if listed:
+        return st.lists(number, max_size=3).map(",".join)
+    return number
+
+
+SCHEMA_KEYS = sorted(key for key in SCHEMA if key != "output.path")
+
+
+@st.composite
+def _one_override(draw):
+    key = draw(st.sampled_from(SCHEMA_KEYS))
+    owner = key.split(".")[0]
+    command = owner if owner in FAST_OVERRIDES \
+        else draw(st.sampled_from(sorted(FAST_OVERRIDES)))
+    return command, key, draw(_override_text(key))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_override())
+def test_schema_override_exit_codes(case):
+    """Bad values exit 2; accepted ones exit 0 with finite cells, or 3."""
+    command, key, text = case
+    try:
+        RunConfig.from_mapping({key: text})
+        accepted = True
+    except ConfigError:
+        accepted = False
+    if isinstance(SCHEMA[key][0], float) and text in ("nan", "inf", "-inf"):
+        assert not accepted
+    with tempfile.TemporaryDirectory() as tmp:
+        out = f"{tmp}/out.csv"
+        code = main([command, "--out", out] + FAST_OVERRIDES[command]
+                    + ["--set", f"{key}={text}"])
+        if not accepted:
+            assert code == 2
+            return
+        assert code in (0, 3)
+        if code == 0:
+            _, _, rows = read_table(out)
+            for cell in (cell for row in rows for cell in row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (key, text, cell)
