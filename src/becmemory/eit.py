@@ -117,25 +117,27 @@ def chi0(omega_c: float, medium: MediumParams, density: float) -> float:
     return n_gr * omega_c**2 / (medium.omega_p * medium.gamma_total)
 
 
-def susceptibility(delta2: float, field: ControlField, chi0_value: float,
+def susceptibility(delta2, field: ControlField, chi0_value: float,
                    gamma: float) -> Susceptibility:
     """Probe susceptibility at two-photon detuning delta2.
 
     The imaginary part is non-negative for every detuning (pure absorption,
-    no gain) and vanishes exactly on the two-photon resonance.
+    no gain) and vanishes exactly on the two-photon resonance.  ``delta2``
+    may be an array; the parts then have its shape.
     """
     num = chi0_value * 2.0 * delta2 * gamma
-    den = complex(field.omega_c**2 - 4.0 * delta2 * (field.delta_c + delta2),
-                  -2.0 * delta2 * gamma)
+    den = (field.omega_c**2 - 4.0 * delta2 * (field.delta_c + delta2)) \
+        - 2j * delta2 * gamma
     value = num / den
     return Susceptibility(value.real, value.imag)
 
 
-def susceptibility_approx(delta2: float, omega_c: float, chi0_value: float,
+def susceptibility_approx(delta2, omega_c: float, chi0_value: float,
                           gamma: float) -> Susceptibility:
     """Lowest-order expansion: Re linear and Im quadratic in delta2.
 
-    Both terms are independent of the single-photon detuning.
+    Both terms are independent of the single-photon detuning.  ``delta2``
+    may be an array.
     """
     slope = 2.0 * gamma / omega_c**2 * delta2
     return Susceptibility(chi0_value * slope, chi0_value * slope**2)
@@ -156,22 +158,25 @@ def optical_depth(medium: MediumParams, x: float = 0.0,
         * medium.peak_density * (4.0 / 3.0) * medium.r_z * rest**1.5
 
 
-def pulse_delay(omega_c: float, d_p: float, gamma: float) -> float:
-    """Slow-light delay through the full medium, Gamma d_p / Omega_c^2."""
-    if omega_c <= 0 or gamma <= 0 or d_p < 0:
+def pulse_delay(omega_c, d_p, gamma):
+    """Slow-light delay through the full medium, Gamma d_p / Omega_c^2.
+
+    All arguments broadcast.
+    """
+    if np.any(omega_c <= 0) or np.any(gamma <= 0) or np.any(d_p < 0):
         raise ValueError("omega_c and gamma must be > 0, d_p >= 0")
     return gamma * d_p / omega_c**2
 
 
-def transparency_width(omega_c: float, gamma: float, d_p: float) -> float:
+def transparency_width(omega_c, gamma, d_p):
     """Full width Omega_c^2 / (Gamma sqrt(d_p)) of the EIT window.
 
     The intensity transmission is Gaussian in detuning with rms width
-    transparency_width / sqrt(8).
+    transparency_width / sqrt(8).  All arguments broadcast.
     """
-    if d_p <= 0:
+    if np.any(d_p <= 0):
         raise ValueError("transparency width undefined for d_p <= 0")
-    return omega_c**2 / (gamma * math.sqrt(d_p))
+    return omega_c**2 / (gamma * np.sqrt(d_p))
 
 
 def im_chi_maxima(field: ControlField) -> tuple[float, float]:
@@ -198,8 +203,8 @@ class CompressionCheck:
 
 def check_compression_condition(tau_d: float, tau_p: float,
                                 d_p: float) -> CompressionCheck:
-    """Evaluate tau_d/tau_p against 1 and sqrt(d_p)."""
-    if tau_p <= 0 or tau_d < 0 or d_p < 0:
+    """Evaluate tau_d/tau_p against 1 and sqrt(d_p); ``tau_d`` broadcasts."""
+    if tau_p <= 0 or np.any(tau_d < 0) or d_p < 0:
         raise ValueError("tau_p must be > 0; tau_d and d_p >= 0")
     ratio = tau_d / tau_p
     sqrt_dp = math.sqrt(d_p)

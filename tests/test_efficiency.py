@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from becmemory.constants import RB87_D1, SPEED_OF_LIGHT
-from becmemory.efficiency import (PulseParams, bimodal_eta, eta_comp,
-                                  eta_decay, eta_total, eta_trans,
-                                  optimize_eta, pulse_intensity,
-                                  recoil_sigma_eta, thermal_decay_time,
-                                  transverse_average_eta)
+from becmemory.efficiency import (PulseParams, _eta_on_depth, _radial_weight,
+                                  bimodal_eta, eta_comp, eta_decay,
+                                  eta_total, eta_trans, optimize_eta,
+                                  pulse_intensity, recoil_sigma_eta,
+                                  thermal_decay_time, transverse_average_eta)
 from becmemory.eit import MediumParams, optical_depth, pulse_delay
 
 TWO_PI = 2.0 * math.pi
@@ -187,10 +189,13 @@ class TestTransverseAverage:
         assert avg == pytest.approx(0.6018497383840131, rel=1e-6)
 
     def test_gauss_legendre_agrees_with_adaptive(self, medium, pulse):
+        # optimize_eta's fixed-node objective at a single (omega, t0) point
         for om_mhz in (8.0, 15.0, 35.0):
             omega = TWO_PI * om_mhz * 1e6
             ref = transverse_average_eta(omega, pulse, medium)
-            fast = transverse_average_eta(omega, pulse, medium, n_radial=256)
+            fast = optimize_eta(medium, pulse, omega_bounds=(omega, omega),
+                                t0_bounds=(230e-9, 230e-9),
+                                waist=pulse.waist, grid_shape=(1, 1)).eta
             assert fast == pytest.approx(ref, rel=1e-6)
 
     def test_matches_2d_quadrature(self, medium, pulse):
@@ -213,6 +218,42 @@ class TestTransverseAverage:
             epsabs=1e-12, epsrel=1e-8)
         reference = transverse_average_eta(omega, pulse, medium)
         assert 4.0 * quadrant == pytest.approx(reference, rel=1e-4)
+
+    @settings(max_examples=12, deadline=None)
+    @given(d_p=st.floats(1.0, 1000.0), waist_um=st.floats(0.05, 100.0),
+           tau_ns=st.floats(20.0, 500.0), t0_us=st.floats(0.0, 2.0),
+           omegas_mhz=st.lists(st.floats(2.0, 80.0), min_size=5,
+                               max_size=5))
+    def test_array_call_matches_pointwise_quad(self, d_p, waist_um, tau_ns,
+                                               t0_us, omegas_mhz):
+        medium = MediumParams(atom_number=1.2e6, r_x=7e-6, r_y=25e-6,
+                              r_z=25e-6, gamma_total=GAMMA,
+                              branching_ratio=1.0 / 12.0,
+                              lambda_p=795e-9).rescaled_to_depth(d_p)
+        pulse = PulseParams(tau_p=tau_ns * 1e-9, t0=t0_us * 1e-6,
+                            waist=waist_um * 1e-6)
+        omegas = TWO_PI * np.array(omegas_mhz) * 1e6
+
+        def integrand(r, omega):
+            # the efficiency is constant on the ellipse through (r Rx, 0)
+            line = eta_total(omega, pulse, medium, x=r * medium.r_x)
+            return _radial_weight(r, medium.r_x, medium.r_y, pulse.waist) \
+                * line.eta_total
+
+        oracle = np.array([
+            quad(integrand, 0.0, 1.0, args=(om,), epsabs=1e-13,
+                 epsrel=1e-10, limit=200)[0] for om in omegas])
+        avg = transverse_average_eta(omegas, pulse, medium)
+        assert avg.shape == omegas.shape
+        # 1e-13 is the absolute tolerance both integrators are asked for
+        assert np.max(np.abs(avg - oracle)) <= 1e-9 * np.max(oracle) + 1e-13
+
+        on_axis = eta_total(omegas, pulse, medium).eta_total
+        depths = np.linspace(-1.0, d_p, 7)
+        on_depth = _eta_on_depth(depths[:, None], omegas, pulse.t0,
+                                 pulse.tau_p, GAMMA)
+        for eta in (avg, on_axis, on_depth):
+            assert np.all((eta >= 0.0) & (eta <= 1.0))
 
     def test_wide_beam_bounded_by_cloud_coverage(self, pulse):
         medium = MediumParams(atom_number=1.2e6, r_x=10e-6, r_y=10e-6,

@@ -171,6 +171,24 @@ class TestSusceptibility:
             assert susceptibility(root, field, 0.5, GAMMA).im \
                 == pytest.approx(0.5, rel=1e-12)
 
+    def test_array_call_matches_pointwise(self):
+        # NumPy's complex arithmetic against Python's, point by point;
+        # each may round differently, so allow a few ulp
+        omega_c = TWO_PI * 20e6
+        delta2 = TWO_PI * np.linspace(-15e6, 15e6, 601)
+        for delta_c in (0.0, TWO_PI * 70e6):
+            field = ControlField(omega_c, delta_c)
+            exact = susceptibility(delta2, field, 0.5, GAMMA)
+            approx = susceptibility_approx(delta2, omega_c, 0.5, GAMMA)
+            for k, d in enumerate(delta2):
+                one = susceptibility(float(d), field, 0.5, GAMMA)
+                one_approx = susceptibility_approx(float(d), omega_c, 0.5,
+                                                   GAMMA)
+                np.testing.assert_allclose(
+                    [exact.re[k], exact.im[k], approx.re[k], approx.im[k]],
+                    [one.re, one.im, one_approx.re, one_approx.im],
+                    rtol=1e-15, atol=0.0)
+
     def test_detuning_regime_diagnostic(self):
         # operating point of the detuned measurements: 4 Delta_c / Gamma
         # sqrt(d_p) is about 4
