@@ -78,6 +78,102 @@ def _finish(names, data: DataSeries, model, p0, bounds) -> FitResult:
     return FitResult(params, errors, chi2, True)
 
 
+# Largest zero-padded lattice the FFT scan allocates (2**22 float64 samples,
+# 32 MB); a longer lattice takes the direct scan.
+FFT_MAX_SAMPLES = 1 << 22
+
+
+def _explained(freqs, x, ye, e2=None):
+    """Variance of ``ye`` explained by a sinusoid at each trial frequency.
+
+    With the squared envelope ``e2`` the amplitude and phase are profiled out
+    by the full 2x2 Gram solve; without it this is the diagonal-Gram power
+    |sum ye exp(-2 pi i f x)|^2.
+    """
+    phase = np.exp(-2j * math.pi * freqs[:, None] * x)
+    z1 = phase @ ye                          # (sum ye cos, -sum ye sin)
+    c, s = z1.real, -z1.imag
+    if e2 is None:
+        return c**2 + s**2
+    sum_e2 = e2.sum()
+    z2 = (phase * phase) @ e2                # sum e^2 exp(-2i w t)
+    a = 0.5 * (sum_e2 + z2.real)             # sum e^2 cos^2
+    cc = 0.5 * (sum_e2 - z2.real)            # sum e^2 sin^2
+    b = -0.5 * z2.imag                       # sum e^2 cos sin
+    det = a * cc - b * b
+    det = np.where(np.abs(det) < 1e-300, np.inf, det)
+    return (cc * c**2 - 2.0 * b * c * s + a * s**2) / det
+
+
+def _lattice_step(x, span, min_step):
+    """Step delta such that every x is x.min() + m*delta for an integer m,
+    to 1e-6 delta, or None when there is no such lattice or its zero-padded
+    FFT would exceed ``FFT_MAX_SAMPLES``.
+
+    delta is span / round(span / min_step): rounding in a raw minimum gap
+    would grow with m across a long span.
+    """
+    n_steps = round(span / min_step)
+    if 4 * (n_steps + 1) > FFT_MAX_SAMPLES:
+        return None
+    delta = span / n_steps
+    m = (x - x.min()) / delta
+    return delta if np.max(np.abs(m - np.rint(m))) <= 1e-6 else None
+
+
+def _lattice_scan(x, ye, span, delta):
+    """Coarse scan on a lattice: (best frequency, zoom step 1/(4 span)).
+
+    ``ye`` is summed onto the lattice and zero-padded to a power of two at
+    least 4x its length and at least 2048, so the bins are no wider than the
+    grid of ``_direct_scan`` (1/(4 span), or 512 points over the band);
+    |rfft|^2 is then its diagonal-Gram power at every bin of the same band
+    [0.25/span, 0.5/delta].  The zoom starts from 1/(4 span), not from the
+    finer bin width: its window of +-2 steps must still reach the profiled
+    peak, which can sit a tenth of 1/span from the diagonal-Gram one.
+    """
+    n_steps = round(span / delta)
+    n_fft = max(1 << (4 * (n_steps + 1) - 1).bit_length(), 2048)
+    grid = np.zeros(n_steps + 1)
+    np.add.at(grid, np.rint((x - x.min()) / delta).astype(np.intp), ye)
+    power = np.abs(np.fft.rfft(grid, n_fft))**2
+    bin_width = 1.0 / (n_fft * delta)
+    first = math.ceil(0.25 / (span * bin_width))
+    best = (first + int(np.argmax(power[first:]))) * bin_width
+    return best, 0.25 / span
+
+
+def _direct_scan(x, ye, span, min_step):
+    """Coarse scan of any abscissas: (best frequency, grid step).
+
+    The diagonal-Gram power on an evenly spaced grid over
+    [0.25/span, 0.5/min_step], 1/(4 span) apart but at most 2**18 points,
+    in chunks that bound the memory.
+    """
+    lo, hi = 0.25 / span, 0.5 / min_step
+    n_scan = min(max(int(math.ceil((hi - lo) * 4.0 * span)), 512), 1 << 18)
+    freqs = np.linspace(lo, hi, n_scan)
+    best, best_val = lo, -np.inf
+    for start in range(0, n_scan, 8192):
+        chunk = freqs[start:start + 8192]
+        values = _explained(chunk, x, ye)
+        k = int(np.argmax(values))
+        if values[k] > best_val:
+            best, best_val = chunk[k], values[k]
+    return best, (hi - lo) / max(n_scan - 1, 1)
+
+
+def _zoom(x, ye, e2, best, step):
+    """Two passes of 512 frequencies, each +-2 steps around the best so far,
+    ranked by the profiled variance."""
+    for _ in range(2):
+        freqs = np.linspace(max(best - 2.0 * step, 0.0), best + 2.0 * step,
+                            512)
+        best = freqs[np.argmax(_explained(freqs, x, ye, e2))]
+        step = freqs[1] - freqs[0]
+    return best
+
+
 def _dominant_frequency(x, y, envelope=None) -> float:
     """Angular frequency maximizing the explained variance of an
     envelope-weighted sinusoid.
@@ -87,6 +183,12 @@ def _dominant_frequency(x, y, envelope=None) -> float:
     linear solve, and the scan is zoomed twice around the best frequency.
     Data with long gaps have near-degenerate frequency basins spaced by
     ~1/span; ranking them with the envelope included picks the right one.
+
+    The mainlobe is only ~1/span wide, so the coarse scan must resolve it or
+    a sidelobe of the sampling comb wins.  It ranks basins with the cheap
+    diagonal-Gram power: one zero-padded FFT when the abscissas sit on a
+    lattice (Press & Rybicki, ApJ 338, 277, 1989) whose padded length is at
+    most ``FFT_MAX_SAMPLES``, else a direct sum at each trial frequency.
     """
     span = x.max() - x.min()
     steps = np.diff(np.sort(np.unique(x)))
@@ -95,44 +197,12 @@ def _dominant_frequency(x, y, envelope=None) -> float:
         return 0.0
     env = np.ones_like(x) if envelope is None else envelope
     ye = (y - y.mean()) * env
-    e2 = env**2
-    sum_e2 = e2.sum()
-
-    def explained(freqs, full_gram: bool):
-        phase = np.exp(-2j * math.pi * freqs[:, None] * x)
-        z1 = phase @ ye                      # (sum ye cos, -sum ye sin)
-        c, s = z1.real, -z1.imag
-        if not full_gram:
-            return c**2 + s**2
-        z2 = (phase * phase) @ e2            # sum e^2 exp(-2i w t)
-        a = 0.5 * (sum_e2 + z2.real)         # sum e^2 cos^2
-        cc = 0.5 * (sum_e2 - z2.real)        # sum e^2 sin^2
-        b = -0.5 * z2.imag                   # sum e^2 cos sin
-        det = a * cc - b * b
-        det = np.where(np.abs(det) < 1e-300, np.inf, det)
-        return (cc * c**2 - 2.0 * b * c * s + a * s**2) / det
-
-    # The mainlobe is only ~1/span wide, so the global scan must resolve it
-    # or a sidelobe of the sampling comb wins; chunking bounds the memory.
-    # The scan ranks basins with the cheap diagonal-Gram power; the zooms
-    # then use the exact profiled variance.
-    lo, hi = 0.25 / span, 0.5 / dx
-    n_scan = min(max(int(math.ceil((hi - lo) * 4.0 * span)), 512), 1 << 18)
-    freqs = np.linspace(lo, hi, n_scan)
-    best, best_val = lo, -np.inf
-    for start in range(0, n_scan, 8192):
-        chunk = freqs[start:start + 8192]
-        values = explained(chunk, full_gram=False)
-        k = int(np.argmax(values))
-        if values[k] > best_val:
-            best, best_val = chunk[k], values[k]
-    step = (hi - lo) / max(n_scan - 1, 1)
-    for _ in range(2):
-        freqs = np.linspace(max(best - 2.0 * step, 0.0), best + 2.0 * step,
-                            512)
-        best = freqs[np.argmax(explained(freqs, full_gram=True))]
-        step = freqs[1] - freqs[0]
-    return 2.0 * math.pi * float(best)
+    delta = _lattice_step(x, span, dx)
+    if delta is None:
+        best, step = _direct_scan(x, ye, span, dx)
+    else:
+        best, step = _lattice_scan(x, ye, span, delta)
+    return 2.0 * math.pi * float(_zoom(x, ye, env**2, best, step))
 
 
 def _second_moment_width(x, y) -> float:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from becmemory import fitting
 from becmemory.fitting import (DataSeries, FitResult, fit_damped_sinusoid,
                                fit_gaussian_decay, fit_scaled_model)
-from becmemory.memory import (NoiseModel, sample_shots,
+from becmemory.memory import (NoiseModel, faraday_frequency, sample_shots,
                               sigma_alpha_from_noise)
 from becmemory.polarization import PoincareVector
 
@@ -107,6 +110,128 @@ class TestDampedSinusoid:
             fitted.append(fit.params["sigma_alpha"])
         mean = float(np.mean(fitted))
         assert abs(mean - injected) <= 0.2 * injected
+
+    def test_monte_carlo_trace_lands_in_true_basin(self):
+        # 16 shots averaged per point on fig3's lattice.  A coarse scan
+        # sampled only 1/(4 span) apart ranked the neighbouring basin
+        # first on this trace and fitted omega_F 0.94% high, although the
+        # true basin's chi^2/dof is 16% lower.
+        mean_bz, sigma_b, seed = 0.15514654024769048, 9.524789199209282e-05, \
+            134939932
+        x = faraday_grid()
+        noise = NoiseModel(mean_bz, sigma_b)
+        u = PoincareVector(1.0, 0.0, 0.0)
+        y = np.empty(x.size)
+        for i, t in enumerate(x):
+            shots = sample_shots(u, float(t), 0.0, 1.0, noise, 16,
+                                 np.random.SeedSequence(seed,
+                                                        spawn_key=(i,)))
+            y[i] = float(np.mean(shots[:, 1] / shots[:, 0]))
+        fit = fit_damped_sinusoid(DataSeries(x, y))
+        assert fit.converged
+        assert fit.params["omega_f"] == pytest.approx(
+            faraday_frequency(mean_bz), rel=5e-3)
+
+
+def jittered_trace():
+    """fig3's grid with each time pushed later by up to 0.6 of a step."""
+    rng = np.random.default_rng(20120731)
+    x = faraday_grid()
+    x = x + rng.uniform(0.0, 0.6, x.size) * 0.25e-6
+    y = damped_cos(x, 1.0, TWO_PI * 0.2e6, 0.3, 1.1e-3) \
+        + 0.05 * rng.normal(size=x.size)
+    return x, y
+
+
+class _Scanned(Exception):
+    pass
+
+
+def coarse_scan_taken(monkeypatch, x):
+    """Name of the coarse scan ``_dominant_frequency`` runs on abscissas x
+    (the scan itself is stubbed out)."""
+    taken = []
+    for name in ("_lattice_scan", "_direct_scan"):
+        def stub(*args, name=name):
+            taken.append(name)
+            raise _Scanned
+        monkeypatch.setattr(fitting, name, stub)
+    with pytest.raises(_Scanned):
+        fitting._dominant_frequency(x, np.sin(np.arange(x.size)))
+    return taken[0]
+
+
+class TestFrequencyScan:
+    def test_fig3_times_take_the_lattice_scan(self, monkeypatch):
+        # arange(...) * 1e-6 carries rounding that grows along the span
+        assert coarse_scan_taken(monkeypatch, faraday_grid()) \
+            == "_lattice_scan"
+
+    def test_jittered_times_take_the_direct_scan(self, monkeypatch):
+        assert coarse_scan_taken(monkeypatch, jittered_trace()[0]) \
+            == "_direct_scan"
+
+    def test_lattice_longer_than_the_cap_takes_the_direct_scan(
+            self, monkeypatch):
+        # padded length 4 (n_steps + 1) just under and just over the cap
+        n_steps = fitting.FFT_MAX_SAMPLES // 4 - 1
+        assert coarse_scan_taken(
+            monkeypatch, np.array([0.0, 1.0, 2.0, n_steps])) \
+            == "_lattice_scan"
+        assert coarse_scan_taken(
+            monkeypatch, np.array([0.0, 1.0, 2.0, n_steps + 1])) \
+            == "_direct_scan"
+
+    def test_off_lattice_result_unchanged(self):
+        # value of the direct scan recorded before the lattice path existed
+        x, y = jittered_trace()
+        envelope = np.exp(-x**2 / (2.0 * 1.0e-3**2))
+        assert fitting._dominant_frequency(x, y, envelope) \
+            == 1256612.7519387025
+
+    # A damped sinusoid over at least 4 periods on a random lattice of at
+    # least 16 sites, more than half of them sampled.  Fewer periods or
+    # sites let aliases outrank the signal, which tests the data rather
+    # than the scan.
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sites=st.integers(16, 96),
+           offset=st.floats(-1e3, 1e3), delta=st.floats(1e-3, 10.0),
+           damped=st.booleans())
+    def test_lattice_scan_explains_as_much_as_direct_scan(
+            self, seed, n_sites, offset, delta, damped):
+        rng = np.random.default_rng(seed)
+        sites = rng.choice(n_sites + 1, int(rng.integers(
+            n_sites // 2 + 1, n_sites + 2)), replace=False)
+        sites = np.union1d(sites, [0, n_sites])
+        sites = rng.permutation(np.concatenate(
+            [sites, rng.choice(sites, int(rng.integers(0, 4)))]))
+        x = offset + sites * delta
+        span = x.max() - x.min()
+        env = np.exp(-((x - x.min()) / span - rng.uniform())**2) if damped \
+            else np.ones_like(x)
+        freq = rng.uniform(4.0 / span, 0.4 / delta)
+        y = env * np.cos(TWO_PI * freq * x + rng.uniform(0.0, TWO_PI)) \
+            + rng.uniform(0.0, 0.3) * rng.normal(size=x.size)
+        ye = (y - y.mean()) * env
+        min_step = np.diff(np.unique(x)).min()
+        delta_found = fitting._lattice_step(x, span, min_step)
+        assert delta_found == pytest.approx(delta, rel=1e-9)
+        best, explained = {}, {}
+        for name, scan in (
+                ("lattice", fitting._lattice_scan(x, ye, span, delta_found)),
+                ("direct", fitting._direct_scan(x, ye, span, min_step))):
+            best[name] = fitting._zoom(x, ye, env**2, *scan)
+            explained[name] = fitting._explained(np.array([best[name]]), x,
+                                                 ye, env**2)[0]
+        nyquist = 0.5 / delta_found
+        if abs(best["direct"] - nyquist) < 1.0 / span:
+            # The sine column vanishes at the Nyquist frequency, so the
+            # profiled variance has a singular spike there that can outrank
+            # the signal on both paths; only the zoom's final resolution
+            # orders the two values, so ask for the same basin.
+            assert abs(best["lattice"] - nyquist) < 1.0 / span
+        else:
+            assert explained["lattice"] >= explained["direct"] * (1.0 - 1e-9)
 
 
 class TestGaussianDecay:

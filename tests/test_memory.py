@@ -1,7 +1,11 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becmemory.constants import RB87_D1
 from becmemory.memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix,
@@ -104,6 +108,24 @@ class TestApplyMueller:
         bad = MuellerMatrix(2.0 * np.eye(4) + 0.5)
         with pytest.warns(UserWarning):
             apply_mueller(bad, StokesVector(1, 1, 0, 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(eta=st.floats(0.0, 1.0), alpha=st.floats(0.0, 1.0),
+           phi=st.floats(-10.0, 10.0), s0=st.floats(1e-6, 1e6),
+           dop=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi),
+           azimuth=st.floats(0.0, TWO_PI))
+    def test_memory_output_is_physical(self, eta, alpha, phi, s0, dop, theta,
+                                       azimuth):
+        # every degree of polarization, pure states included
+        r = dop * s0
+        s_in = StokesVector(s0, r * math.sin(theta) * math.cos(azimuth),
+                            r * math.sin(theta) * math.sin(azimuth),
+                            r * math.cos(theta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_mueller(memory_mueller(MemoryParams(eta, alpha, phi)),
+                                s_in)
+        assert out.is_physical()
 
 
 class TestDamping:
