@@ -10,15 +10,15 @@ condensate fraction.
 
 import numpy as np
 
-from becmemory import (DataSeries, RB87_D1, bimodal_eta, eta_decay,
+from becmemory import (DataSeries, bimodal_eta, eta_decay,
                        fit_gaussian_decay, recoil_sigma_eta,
                        thermal_decay_time)
 
-sigma_recoil = recoil_sigma_eta(RB87_D1, waist=8e-6, lambda_c=795e-9)
+sigma_recoil = recoil_sigma_eta(waist=8e-6, lambda_c=795e-9)
 print(f"recoil-limited lifetime for an 8 um probe: "
       f"{sigma_recoil * 1e3:.3f} ms")
 print(f"  doubling the waist doubles it: "
-      f"{recoil_sigma_eta(RB87_D1, 16e-6, 795e-9) * 1e3:.3f} ms")
+      f"{recoil_sigma_eta(16e-6, 795e-9) * 1e3:.3f} ms")
 
 # Round trip through the Gaussian-decay fit with a measured-style lifetime.
 sigma_measured = 0.48e-3

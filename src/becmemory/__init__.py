@@ -12,7 +12,6 @@ used to extract the figures of merit.
 
 __version__ = "0.1.0"
 
-from .constants import RB87_D1, AtomicConstants
 from .eit import (CompressionCheck, ControlField, MediumParams,
                   Susceptibility, check_compression_condition, chi0,
                   group_index, group_velocity, im_chi_maxima, optical_depth,

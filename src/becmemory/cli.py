@@ -61,8 +61,8 @@ def main(argv=None) -> int:
         return 3
     if table.report:
         print(table.report)
-    out = args.out or cfg.output_path
-    if out is None and table.report is None:
+    out = args.out or cfg.raw["output.path"]   # "" means unset
+    if not out and table.report is None:
         out = table.default_filename
     if out:
         write_table(out, args.command, __version__, cfg.raw, table.header,

@@ -50,7 +50,7 @@ class Table:
 
 def _child_seed(cfg: RunConfig, *tags: int) -> np.random.SeedSequence:
     """Deterministic independent stream for one sub-task of a run."""
-    return np.random.SeedSequence(entropy=cfg.seed, spawn_key=tags)
+    return np.random.SeedSequence(entropy=cfg.raw["seed"], spawn_key=tags)
 
 
 def _rotation_delay(cfg: RunConfig) -> float:
@@ -79,9 +79,10 @@ def _tomography_once(cfg: RunConfig, t_store: float, eta: float,
     """One full 12-measurement tomography; returns rows and extracted values."""
     tau_d = _rotation_delay(cfg)
     inputs = canonical_inputs()
-    sigma = cfg.detector_sigma
+    sigma = cfg.raw["detector.relative_sigma"]
+    background = cfg.raw["detector.background"]
     rng = np.random.default_rng(_child_seed(cfg, *rep_tags, 7)) \
-        if sigma > 0 or cfg.detector_background != 0.0 else None
+        if sigma > 0 or background != 0.0 else None
     outputs = []
     measurements = []
     attenuation = cfg.attenuation_factor()
@@ -89,19 +90,16 @@ def _tomography_once(cfg: RunConfig, t_store: float, eta: float,
         if shots > 0:
             stack = sample_shots(PROBE_INPUT_AXES[label], t_store, tau_d,
                                  eta, noise, shots,
-                                 _child_seed(cfg, *rep_tags, k),
-                                 cfg.constants)
+                                 _child_seed(cfg, *rep_tags, k))
             s_out = StokesVector.from_array(stack.mean(axis=0) * attenuation)
         else:
-            alpha = damping_factor(
-                t_store, sigma_alpha_from_noise(noise.sigma_b, cfg.constants))
-            phi = faraday_frequency(noise.mean_bz, cfg.constants) \
-                * (t_store + tau_d)
+            alpha = damping_factor(t_store,
+                                   sigma_alpha_from_noise(noise.sigma_b))
+            phi = faraday_frequency(noise.mean_bz) * (t_store + tau_d)
             m = memory_mueller(MemoryParams(eta, alpha, phi))
             s_out = StokesVector.from_array(
                 m.m @ inputs[label].as_array() * attenuation)
-        readings = _readings_for_state(s_out, rng, sigma,
-                                       cfg.detector_background)
+        readings = _readings_for_state(s_out, rng, sigma, background)
         outputs.append(state_tomography(readings).stokes)
         for key in ("HV", "DA", "RL"):
             measurements.append((label, key) + readings[key])
@@ -122,13 +120,13 @@ def cmd_fig3(cfg: RunConfig) -> Table:
     phi0 = cfg.raw["fig3.phi0_rad"]
     u_in = PoincareVector(math.cos(phi0), -math.sin(phi0), 0.0)
     tau_d = _rotation_delay(cfg)
-    omega_f = faraday_frequency(cfg.noise.mean_bz, cfg.constants)
-    sigma_alpha = sigma_alpha_from_noise(cfg.noise.sigma_b, cfg.constants)
+    omega_f = faraday_frequency(cfg.noise.mean_bz)
+    sigma_alpha = sigma_alpha_from_noise(cfg.noise.sigma_b)
     rows = []
     for i, t in enumerate(t_us):
         t_s = t * 1e-6
         shot = sample_shot(u_in, t_s, tau_d, 1.0, cfg.noise,
-                           _child_seed(cfg, 3, i), cfg.constants)
+                           _child_seed(cfg, 3, i))
         model = damping_factor(t_s, sigma_alpha) \
             * math.cos(omega_f * (t_s + tau_d) - phi0)
         rows.append((float(t), shot.s1 / shot.s0, model))
@@ -147,7 +145,7 @@ def cmd_fig4(cfg: RunConfig) -> Table:
     for p, preset in enumerate(("unsynchronized", "line-synced",
                                 "feed-forward")):
         noise = NoiseModel.from_preset(preset, cfg.noise.mean_bz)
-        sigma_alpha = sigma_alpha_from_noise(noise.sigma_b, cfg.constants)
+        sigma_alpha = sigma_alpha_from_noise(noise.sigma_b)
         t_grid = np.linspace(0.0, factor * sigma_alpha, n_points)
         alphas = []
         for i, t in enumerate(t_grid):
@@ -187,8 +185,7 @@ def cmd_fig5(cfg: RunConfig) -> Table:
     n = cfg.raw["fig5.n_points"]
     t_max = cfg.raw["fig5.t_max_ms"] * 1e-3
     eta0 = cfg.raw["fig5.eta0"] * cfg.attenuation_factor()
-    sigma_model = eff.recoil_sigma_eta(cfg.constants, cfg.pulse.waist,
-                                       cfg.medium.lambda_p)
+    sigma_model = eff.recoil_sigma_eta(cfg.pulse.waist, cfg.medium.lambda_p)
     sigma_fit = cfg.raw["fig5.sigma_eta_fit_ms"] * 1e-3
     t = np.linspace(0.0, t_max, n)
     model = eff.eta_decay(t, eta0, sigma_model)
@@ -209,10 +206,8 @@ def cmd_fig6(cfg: RunConfig) -> Table:
     t_max = cfg.raw["fig6.t_max_ms"] * 1e-3
     fractions = parse_float_list(cfg.raw["fig6.condensate_fractions"])
     temperature = cfg.raw["fig6.temperature_uk"] * 1e-6
-    sigma_bec = eff.recoil_sigma_eta(cfg.constants, cfg.pulse.waist,
-                                     cfg.medium.lambda_p)
-    thermal = eff.thermal_decay_time(temperature, cfg.constants,
-                                     cfg.medium.lambda_p,
+    sigma_bec = eff.recoil_sigma_eta(cfg.pulse.waist, cfg.medium.lambda_p)
+    thermal = eff.thermal_decay_time(temperature, cfg.medium.lambda_p,
                                      cfg.medium.lambda_p)
     t = np.linspace(0.0, t_max, n)
     curves = [eff.bimodal_eta(t, fc, sigma_bec, thermal) for fc in fractions]
@@ -284,8 +279,7 @@ def cmd_tomography(cfg: RunConfig) -> Table:
     repeats = cfg.raw["tomography.repeats"]
     shots = cfg.raw["tomography.shots"]
     t_store = cfg.raw["storage.t_store_us"] * 1e-6
-    sigma_recoil = eff.recoil_sigma_eta(cfg.constants, cfg.pulse.waist,
-                                        cfg.medium.lambda_p)
+    sigma_recoil = eff.recoil_sigma_eta(cfg.pulse.waist, cfg.medium.lambda_p)
     eta = cfg.raw["tomography.eta0"] \
         * float(eff.eta_decay(t_store, 1.0, sigma_recoil))
     rows = []
@@ -295,10 +289,10 @@ def cmd_tomography(cfg: RunConfig) -> Table:
             cfg, t_store, eta, cfg.noise, shots, (12, rep))
         avg_f = (2.0 + params.alpha) / 3.0
         fidelities.append(avg_f)
+        cond = record.condition_number
         for label, key, i_plus, i_minus in measurements:
             rows.append((rep, label, key, i_plus, i_minus, params.eta,
-                         params.alpha, params.phi, avg_f, residual,
-                         record.condition_number))
+                         params.alpha, params.phi, avg_f, residual, cond))
     metadata = [f"t_store_us = {t_store * 1e6:g}",
                 f"eta_injected = {eta:.12g}"]
     if repeats > 1:

@@ -13,7 +13,6 @@ commands read typed, in-range values.
 import math
 from dataclasses import dataclass
 
-from .constants import RB87_D1, AtomicConstants
 from .eit import ControlField, MediumParams
 from .efficiency import PulseParams
 from .memory import NOISE_PRESETS, NoiseModel
@@ -178,27 +177,20 @@ MHZ = 2.0 * math.pi * 1e6      # ordinary MHz -> angular rad/s
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Typed view of a full configuration mapping."""
+    """Unit-converted model objects of a configuration; ``raw`` holds the
+    typed, checked value of every key."""
 
     medium: MediumParams
     control: ControlField
     pulse: PulseParams
     noise: NoiseModel
-    constants: AtomicConstants
-    detector_sigma: float
-    detector_background: float
-    seed: int
-    output_path: str | None
     raw: dict
-
-    @property
-    def dp_target(self) -> float:
-        return self.raw["medium.dp_target"]
 
     def model_medium(self) -> MediumParams:
         """Medium used for figure generation, optionally depth-rescaled."""
-        if self.dp_target > 0:
-            return self.medium.rescaled_to_depth(self.dp_target)
+        dp_target = self.raw["medium.dp_target"]
+        if dp_target > 0:
+            return self.medium.rescaled_to_depth(dp_target)
         return self.medium
 
     def attenuation_factor(self) -> float:
@@ -256,10 +248,6 @@ class RunConfig:
             # a product of in-range keys can still underflow to 0
             raise ConfigError(str(exc)) from exc
         return cls(medium=medium, control=control, pulse=pulse, noise=noise,
-                   constants=RB87_D1,
-                   detector_sigma=raw["detector.relative_sigma"],
-                   detector_background=raw["detector.background"],
-                   seed=raw["seed"], output_path=raw["output.path"] or None,
                    raw=raw)
 
 

@@ -1,43 +1,26 @@
-"""Atomic and fundamental constants for the rubidium D1 storage system."""
+"""Atomic and fundamental constants for the rubidium D1 storage system.
 
-from dataclasses import dataclass
+The fundamental constants are the exact SI-2019 values, written out so that
+importing them costs nothing.
+"""
 
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import hbar as HBAR
-from scipy.constants import k as BOLTZMANN
+import math
 
-# Bohr magneton expressed as a frequency per magnetic field, mu_B / h in Hz/G.
+SPEED_OF_LIGHT = 299792458.0                # m/s
+HBAR = 6.62607015e-34 / (2.0 * math.pi)     # J s
+BOLTZMANN = 1.380649e-23                    # J/K
+
+# Bohr magneton expressed as a frequency per magnetic field, mu_B / h in Hz/G;
+# an ordinary frequency, so omega_F carries an explicit 2*pi.
 MU_B_OVER_H = 1.40e6
+
+# Lande factor of the storage ground states and the Zeeman-number difference
+# of the two spin states.
+G_F = 0.5
+DELTA_MF = 2.0
 
 # Mass of one 87Rb atom in kg.
 RB87_MASS = 1.4447e-25
 
 # D1 probe/control wavelength in m.
 D1_WAVELENGTH = 795e-9
-
-
-@dataclass(frozen=True)
-class AtomicConstants:
-    """Constants entering Faraday rotation, recoil and thermal estimates.
-
-    Frequencies are angular (rad/s) unless a name says otherwise; ``mu_b_over_h``
-    is an ordinary frequency per gauss, so omega_F carries an explicit 2*pi.
-    """
-
-    g_f: float = 0.5            # Lande factor of the storage ground states
-    delta_mf: float = 2.0       # Zeeman-number difference of the two spin states
-    mu_b_over_h: float = MU_B_OVER_H   # Hz/G
-    hbar: float = HBAR          # J s
-    mass: float = RB87_MASS     # kg
-    k_b: float = BOLTZMANN      # J/K
-    c: float = SPEED_OF_LIGHT   # m/s
-    lambda_p: float = D1_WAVELENGTH  # m
-
-    def __post_init__(self):
-        for name in ("g_f", "delta_mf", "mu_b_over_h", "hbar", "mass", "k_b",
-                     "c", "lambda_p"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-RB87_D1 = AtomicConstants()

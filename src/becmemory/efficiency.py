@@ -17,7 +17,8 @@ import numpy as np
 from scipy.integrate import quad_vec as quad
 from scipy.special import erf, i0e
 
-from .constants import SPEED_OF_LIGHT, AtomicConstants, RB87_D1
+from .constants import (BOLTZMANN, D1_WAVELENGTH, HBAR, RB87_MASS,
+                        SPEED_OF_LIGHT)
 from .eit import (CompressionCheck, ControlField, MediumParams,
                   check_compression_condition, optical_depth, pulse_delay,
                   transparency_width)
@@ -300,13 +301,12 @@ def optimize_eta(medium: MediumParams, pulse: PulseParams,
     return OptimizeEtaResult(omega_best, best_t0, float(best), bool(edge))
 
 
-def recoil_sigma_eta(consts: AtomicConstants, waist: float,
-                     lambda_c: float) -> float:
+def recoil_sigma_eta(waist: float, lambda_c: float) -> float:
     """Storage lifetime set by the control-photon recoil, m w / (sqrt(2) hbar k_c)."""
     if waist <= 0 or lambda_c <= 0:
         raise ValueError("waist and lambda_c must be > 0")
     k_c = 2.0 * math.pi / lambda_c
-    return consts.mass * waist / (SQRT2 * consts.hbar * k_c)
+    return RB87_MASS * waist / (SQRT2 * HBAR * k_c)
 
 
 def eta_decay(t_store, eta0: float, sigma_eta: float):
@@ -318,9 +318,8 @@ def eta_decay(t_store, eta0: float, sigma_eta: float):
 
 
 def thermal_decay_time(temperature: float,
-                       consts: AtomicConstants = RB87_D1,
-                       lambda_p: float | None = None,
-                       lambda_c: float | None = None,
+                       lambda_p: float = D1_WAVELENGTH,
+                       lambda_c: float = D1_WAVELENGTH,
                        angle_deg: float = 90.0) -> float:
     """Coarse storage-time scale of the uncondensed fraction.
 
@@ -330,15 +329,13 @@ def thermal_decay_time(temperature: float,
     """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    lambda_p = consts.lambda_p if lambda_p is None else lambda_p
-    lambda_c = consts.lambda_p if lambda_c is None else lambda_c
-    lambda_db = math.sqrt(2.0 * math.pi * consts.hbar**2
-                          / (consts.mass * consts.k_b * temperature))
+    lambda_db = math.sqrt(2.0 * math.pi * HBAR**2
+                          / (RB87_MASS * BOLTZMANN * temperature))
     k_p = 2.0 * math.pi / lambda_p
     k_c = 2.0 * math.pi / lambda_c
     dk = math.sqrt(k_p**2 + k_c**2
                    - 2.0 * k_p * k_c * math.cos(math.radians(angle_deg)))
-    v_rel = consts.hbar * dk / consts.mass
+    v_rel = HBAR * dk / RB87_MASS
     return lambda_db / v_rel
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import AtomicConstants, RB87_D1
+from .constants import DELTA_MF, G_F, MU_B_OVER_H
 from .polarization import PoincareVector, StokesVector
 
 # rms shot-to-shot field fluctuation in gauss for the supported setups
@@ -78,9 +78,9 @@ class NoiseModel:
         return cls(bz, NOISE_PRESETS[name], name)
 
 
-def faraday_frequency(bz: float, consts: AtomicConstants = RB87_D1) -> float:
+def faraday_frequency(bz: float) -> float:
     """Angular Faraday rotation frequency of the Poincare vector, rad/s."""
-    return 2.0 * math.pi * consts.mu_b_over_h * consts.g_f * consts.delta_mf * bz
+    return 2.0 * math.pi * MU_B_OVER_H * G_F * DELTA_MF * bz
 
 
 def rotation_angle(t_store: float, tau_d: float, omega_f: float) -> float:
@@ -128,8 +128,7 @@ def damping_factor(t_store: float, sigma_alpha: float) -> float:
     return math.exp(-t_store**2 / (2.0 * sigma_alpha**2))
 
 
-def sigma_alpha_from_noise(sigma_b: float,
-                           consts: AtomicConstants = RB87_D1) -> float:
+def sigma_alpha_from_noise(sigma_b: float) -> float:
     """Damping time from the rms field fluctuation: 1/sigma_alpha = sigma_B domega_F/dB.
 
     Returns +inf for sigma_b = 0 (no dephasing).
@@ -138,7 +137,7 @@ def sigma_alpha_from_noise(sigma_b: float,
         raise ValueError("sigma_b must be >= 0")
     if sigma_b == 0:
         return math.inf
-    return 1.0 / faraday_frequency(sigma_b, consts)
+    return 1.0 / faraday_frequency(sigma_b)
 
 
 def average_process_fidelity(alpha: float) -> float:
@@ -155,26 +154,25 @@ def s1_trace(t_store: float, sigma_alpha: float, phi: float,
 
 
 def sample_shot(u_in: PoincareVector, t_store: float, tau_d: float,
-                eta: float, noise: NoiseModel, seed: int,
-                consts: AtomicConstants = RB87_D1) -> StokesVector:
+                eta: float, noise: NoiseModel, seed: int) -> StokesVector:
     """Simulate one storage shot with a field value drawn from the noise model.
 
     The shot itself is unitary: the output Poincare vector stays on the unit
     sphere, only its azimuth fluctuates from shot to shot.
     """
     return StokesVector.from_array(
-        sample_shots(u_in, t_store, tau_d, eta, noise, 1, seed, consts)[0])
+        sample_shots(u_in, t_store, tau_d, eta, noise, 1, seed)[0])
 
 
 def sample_shots(u_in: PoincareVector, t_store: float, tau_d: float,
-                 eta: float, noise: NoiseModel, n: int, seed: int,
-                 consts: AtomicConstants = RB87_D1) -> np.ndarray:
+                 eta: float, noise: NoiseModel, n: int,
+                 seed: int) -> np.ndarray:
     """Vectorized ``sample_shot``: (n, 4) array of output Stokes vectors."""
     if abs(u_in.norm - 1.0) > 1e-6:
         raise ValueError("input state must be pure (unit Poincare vector)")
     rng = np.random.default_rng(seed)
     bz = rng.normal(noise.mean_bz, noise.sigma_b, n)
-    phi = faraday_frequency(1.0, consts) * bz * (t_store + tau_d)
+    phi = faraday_frequency(1.0) * bz * (t_store + tau_d)
     c, s = np.cos(phi), np.sin(phi)
     out = np.empty((n, 4))
     out[:, 0] = eta

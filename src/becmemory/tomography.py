@@ -20,6 +20,10 @@ BASIS_KEYS = ("HV", "DA", "RL")
 
 CONDITION_LIMIT = 1e8
 
+# Largest relative disagreement of the three redundant basis sums for which a
+# state reconstruction is still flagged consistent.
+S0_TOLERANCE = 0.1
+
 
 def canonical_inputs() -> dict[str, StokesVector]:
     """The H, D, R, L probe set (linearly independent as 4-vectors)."""
@@ -65,16 +69,16 @@ class StateTomographyResult:
     stokes: StokesVector
     degree_of_polarization: float
     s0_spread: float        # max relative deviation of the three basis sums
-    consistent: bool        # s0_spread within the configured tolerance
+    consistent: bool        # s0_spread within S0_TOLERANCE
 
 
-def state_tomography(readings: dict[str, tuple[float, float]],
-                     s0_tolerance: float = 0.1) -> StateTomographyResult:
+def state_tomography(
+        readings: dict[str, tuple[float, float]]) -> StateTomographyResult:
     """Reconstruct a Stokes vector from (i_plus, i_minus) per basis setting.
 
     ``readings`` must contain the keys "HV", "DA" and "RL".  The three
     redundant total intensities are compared; disagreement beyond
-    ``s0_tolerance`` (relative) only flags the result, it does not raise.
+    ``S0_TOLERANCE`` (relative) only flags the result, it does not raise.
     """
     missing = [k for k in BASIS_KEYS if k not in readings]
     if missing:
@@ -85,16 +89,16 @@ def state_tomography(readings: dict[str, tuple[float, float]],
     mean = sums.mean()
     spread = float(np.abs(sums - mean).max() / mean) if mean > 0 else 0.0
     dop = s.degree_of_polarization if s.s0 > 0 else math.nan
-    return StateTomographyResult(s, dop, spread, spread <= s0_tolerance)
+    return StateTomographyResult(s, dop, spread, spread <= S0_TOLERANCE)
 
 
 def process_tomography(record: TomographyRecord) -> MuellerMatrix:
     """Solve S_out(k) = M S_in(k), k = 1..4, for the unique Mueller matrix."""
     x = record.input_matrix
-    if record.condition_number > CONDITION_LIMIT:
+    cond = record.condition_number
+    if cond > CONDITION_LIMIT:
         raise np.linalg.LinAlgError(
-            f"input states are ill-conditioned (cond = "
-            f"{record.condition_number:.3g})")
+            f"input states are ill-conditioned (cond = {cond:.3g})")
     # M X = Y  <=>  X^T M^T = Y^T
     m = np.linalg.solve(x.T, record.output_matrix.T).T
     return MuellerMatrix(m)

@@ -17,7 +17,7 @@ from scipy.integrate import dblquad, quad
 from scipy.optimize import minimize_scalar
 
 from becmemory.config import RunConfig
-from becmemory.constants import RB87_D1, SPEED_OF_LIGHT
+from becmemory.constants import SPEED_OF_LIGHT
 from becmemory.commands import cmd_fig7
 from becmemory.efficiency import (PulseParams, _eta_on_depth, eta_comp,
                                   eta_trans, eta_total, recoil_sigma_eta,
@@ -101,7 +101,7 @@ def test_criterion_3_faraday_and_dephasing():
 
 def test_criterion_4_recoil_lifetime():
     started = time.perf_counter()
-    sigma = recoil_sigma_eta(RB87_D1, 8e-6, 795e-9)
+    sigma = recoil_sigma_eta(8e-6, 795e-9)
     assert abs(sigma - 0.98e-3) <= 0.02e-3
     # the measured 0.48 ms is about half the model value and is used only
     # as a fit-generator parameter, never as a model output
@@ -326,8 +326,7 @@ def test_criterion_8_measured_points_are_generators_only():
     # synthetic datasets, never as model predictions
     cfg = RunConfig.from_mapping({})
     assert cfg.raw["fig5.sigma_eta_fit_ms"] == 0.48
-    model_sigma = recoil_sigma_eta(RB87_D1, cfg.pulse.waist,
-                                   cfg.medium.lambda_p)
+    model_sigma = recoil_sigma_eta(cfg.pulse.waist, cfg.medium.lambda_p)
     assert abs(model_sigma - 0.48e-3) > 0.4e-3
     report(8, "measured decay constants (0.48 ms etc.) appear only as "
            "synthetic-data generator parameters, not as model outputs",

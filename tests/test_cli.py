@@ -71,7 +71,7 @@ class TestRunConfig:
         assert cfg.pulse.tau_p == pytest.approx(94e-9)
         assert cfg.pulse.t0 == pytest.approx(230e-9)
         assert cfg.pulse.waist == pytest.approx(8e-6)
-        assert cfg.dp_target == 127.0
+        assert cfg.raw["medium.dp_target"] == 127.0
 
     def test_unit_conversions(self):
         cfg = RunConfig.from_mapping({"control.omega_c_mhz": 15.0,
@@ -442,6 +442,21 @@ class TestCommandLine:
              "--set", "no.such.key=1"],
             capture_output=True, text=True)
         assert bad.returncode == 2
+
+    def test_output_path_precedence(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig5", "--set", "output.path=x.csv"]) == 0
+        assert (tmp_path / "x.csv").exists()
+        # --out wins over the config value
+        assert main(["fig5", "--out", "y.csv",
+                     "--set", "output.path=z.csv"]) == 0
+        assert (tmp_path / "y.csv").exists()
+        assert not (tmp_path / "z.csv").exists()
+        # neither: the command's default file, or none for a report
+        assert main(["fig5"]) == 0
+        assert main(["optimize", "--set", "optimize.grid=24"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["fig5.csv", "x.csv", "y.csv"]
 
     def test_attenuation_scales_fig5(self, tmp_path):
         plain = tmp_path / "plain.csv"

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from becmemory.constants import RB87_D1, SPEED_OF_LIGHT
+from becmemory.constants import (BOLTZMANN, HBAR, RB87_MASS,
+                                SPEED_OF_LIGHT)
 from becmemory.efficiency import (PulseParams, _eta_on_depth, _radial_weight,
                                   bimodal_eta, eta_comp, eta_decay,
                                   eta_total, eta_trans, optimize_eta,
@@ -329,15 +330,15 @@ class TestOptimizeEta:
 
 class TestRecoilAndDecay:
     def test_recoil_lifetime(self):
-        sigma = recoil_sigma_eta(RB87_D1, 8e-6, 795e-9)
+        sigma = recoil_sigma_eta(8e-6, 795e-9)
         assert sigma == pytest.approx(0.9805364926151595e-3, rel=1e-12)
         assert abs(sigma - 0.98e-3) <= 0.02e-3
 
     def test_recoil_scalings(self):
-        base = recoil_sigma_eta(RB87_D1, 8e-6, 795e-9)
-        assert recoil_sigma_eta(RB87_D1, 16e-6, 795e-9) \
+        base = recoil_sigma_eta(8e-6, 795e-9)
+        assert recoil_sigma_eta(16e-6, 795e-9) \
             == pytest.approx(2 * base, rel=1e-12)
-        assert recoil_sigma_eta(RB87_D1, 8e-6, 2 * 795e-9) \
+        assert recoil_sigma_eta(8e-6, 2 * 795e-9) \
             == pytest.approx(2 * base, rel=1e-12)
 
     def test_eta_decay(self):
@@ -352,10 +353,10 @@ class TestThermalDecay:
     def test_reference_point(self):
         # 1 uK thermal cloud, perpendicular beams on the same line
         value = thermal_decay_time(1e-6)
-        lam_db = math.sqrt(2 * math.pi * RB87_D1.hbar**2
-                           / (RB87_D1.mass * RB87_D1.k_b * 1e-6))
-        v_rel = RB87_D1.hbar * math.sqrt(2.0) * TWO_PI / 795e-9 \
-            / RB87_D1.mass
+        lam_db = math.sqrt(2 * math.pi * HBAR**2
+                           / (RB87_MASS * BOLTZMANN * 1e-6))
+        v_rel = HBAR * math.sqrt(2.0) * TWO_PI / 795e-9 \
+            / RB87_MASS
         assert lam_db == pytest.approx(0.18717e-6, rel=1e-4)
         assert v_rel == pytest.approx(8.1588e-3, rel=1e-4)
         assert value == pytest.approx(lam_db / v_rel, rel=1e-12)
@@ -368,9 +369,9 @@ class TestThermalDecay:
     def test_perpendicular_geometry(self):
         k = TWO_PI / 795e-9
         value = thermal_decay_time(1e-6, angle_deg=90.0)
-        explicit = math.sqrt(2 * math.pi * RB87_D1.hbar**2 /
-                             (RB87_D1.mass * RB87_D1.k_b * 1e-6)) \
-            / (RB87_D1.hbar * math.sqrt(2.0) * k / RB87_D1.mass)
+        explicit = math.sqrt(2 * math.pi * HBAR**2 /
+                             (RB87_MASS * BOLTZMANN * 1e-6)) \
+            / (HBAR * math.sqrt(2.0) * k / RB87_MASS)
         assert value == pytest.approx(explicit, rel=1e-12)
 
     def test_invalid_temperature(self):

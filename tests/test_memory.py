@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from becmemory.constants import RB87_D1
+from becmemory.constants import (BOLTZMANN, DELTA_MF, G_F, HBAR,
+                                 MU_B_OVER_H, SPEED_OF_LIGHT)
 from becmemory.memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix,
                               NoiseModel, apply_detector_noise, apply_mueller,
                               average_process_fidelity, damping_factor,
@@ -328,11 +329,15 @@ class TestSampleShot:
 
 class TestAtomicConstants:
     def test_positive_fields_required(self):
-        from becmemory.constants import AtomicConstants
-        with pytest.raises(ValueError):
-            AtomicConstants(mass=-1.0)
-        assert RB87_D1.mu_b_over_h == 1.40e6
-        assert RB87_D1.g_f * RB87_D1.delta_mf == 1.0
+        assert MU_B_OVER_H == 1.40e6
+        assert G_F * DELTA_MF == 1.0
+
+    def test_si_literals_match_scipy(self):
+        # bit for bit, so no CSV moves when the literals replace scipy's
+        import scipy.constants
+        assert SPEED_OF_LIGHT == scipy.constants.c
+        assert HBAR == scipy.constants.hbar
+        assert BOLTZMANN == scipy.constants.k
 
 
 class TestDetectorNoise:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from becmemory.memory import (MemoryParams, MuellerMatrix,
                               apply_detector_noise, memory_mueller)
@@ -147,6 +149,22 @@ class TestExtractMemoryParams:
         assert abs(params.alpha - 0.9) < 1e-2
         assert abs(params.phi - 0.7) < 1e-2
         assert residual <= 2e-2
+
+    @settings(max_examples=200, deadline=None)
+    @given(eta=st.floats(1e-6, 1.0), alpha=st.floats(0.0, 1.0),
+           phi=st.floats(-math.pi, math.pi))
+    def test_tomography_round_trips_structured_matrix(self, eta, alpha, phi):
+        m = memory_mueller(MemoryParams(eta, alpha, phi)).m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params, residual = extract_memory_params(
+                process_tomography(record_for_matrix(m)))
+        assert abs(params.eta - eta) / eta <= 1e-12
+        assert abs(params.alpha - alpha) <= 1e-12
+        # phi is defined modulo 2 pi and only as well as alpha resolves it
+        assert alpha * abs(math.remainder(params.phi - phi,
+                                          2.0 * math.pi)) <= 1e-12
+        assert residual <= 1e-12
 
     def test_phi_convention_at_zero_alpha(self):
         params, _ = extract_memory_params(
