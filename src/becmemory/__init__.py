@@ -19,17 +19,15 @@ from .eit import (CompressionCheck, ControlField, MediumParams,
                   transparency_width)
 from .efficiency import (EfficiencyResult, OptimizeEtaResult, PulseParams,
                          bimodal_eta, eta_comp, eta_decay, eta_total,
-                         eta_trans, optimize_eta, pulse_intensity,
-                         recoil_sigma_eta, thermal_decay_time,
-                         transverse_average_eta)
+                         eta_trans, optimize_eta, recoil_sigma_eta,
+                         thermal_decay_time, transverse_average_eta)
 from .fitting import (DataSeries, FitResult, fit_damped_sinusoid,
                       fit_gaussian_decay, fit_scaled_model)
 from .memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix, NoiseModel,
                      apply_detector_noise, apply_mueller,
                      average_process_fidelity, damping_factor,
                      faraday_frequency, memory_mueller, rotation_angle,
-                     s1_trace, sample_shot, sample_shots,
-                     sigma_alpha_from_noise)
+                     s1_trace, sample_shots, sigma_alpha_from_noise)
 from .polarization import (BASIS_DA, BASIS_HV, BASIS_RL, MeasurementBasis,
                            PoincareVector, StokesVector, fidelity, measure,
                            poincare, stokes_from_intensities)

@@ -3,12 +3,14 @@
 Exit codes: 0 on success; 2 for any bad configuration (unknown key,
 malformed, non-finite, out-of-range or inconsistent value, unreadable
 file); 3 only for numerical failures (non-convergent fits, singular
-reconstructions, a non-finite value in the output table).
+reconstructions, a non-finite value in the output table).  Each warning
+raised during a run is printed to stderr as one ``becmem: warning:`` line.
 """
 
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -45,20 +47,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config, args.overrides, args.preset,
-                          args.seed)
-        table = COMMANDS[args.command](cfg)
-        if not all(math.isfinite(v) for row in table.rows for v in row
-                   if isinstance(v, float)):
-            raise ArithmeticError("non-finite value in the output table")
-    except ConfigError as exc:
-        print(f"becmem: config error: {exc}", file=sys.stderr)
-        return 2
-    except (np.linalg.LinAlgError, ArithmeticError, RuntimeError,
-            ValueError) as exc:
-        print(f"becmem: numerical failure: {exc}", file=sys.stderr)
-        return 3
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            cfg = load_config(args.config, args.overrides, args.preset,
+                              args.seed)
+            table = COMMANDS[args.command](cfg)
+            if not all(math.isfinite(v) for row in table.rows for v in row
+                       if isinstance(v, float)):
+                raise ArithmeticError("non-finite value in the output table")
+        except ConfigError as exc:
+            failure = 2, f"config error: {exc}"
+        except (np.linalg.LinAlgError, ArithmeticError, RuntimeError,
+                ValueError) as exc:
+            failure = 3, f"numerical failure: {exc}"
+    for w in caught:
+        print(f"becmem: warning: {w.message}", file=sys.stderr)
+    if failure:
+        code, message = failure
+        print(f"becmem: {message}", file=sys.stderr)
+        return code
     if table.report:
         print(table.report)
     out = args.out or cfg.raw["output.path"]   # "" means unset

@@ -19,8 +19,9 @@ from . import eit
 from .config import RunConfig, parse_float_list
 from .fitting import DataSeries, fit_gaussian_decay
 from .memory import (MemoryParams, NoiseModel, apply_detector_noise,
-                     damping_factor, faraday_frequency, memory_mueller,
-                     sample_shot, sample_shots, sigma_alpha_from_noise)
+                     average_process_fidelity, damping_factor,
+                     faraday_frequency, memory_mueller, rotation_angle,
+                     s1_trace, sample_shots, sigma_alpha_from_noise)
 from .polarization import (BASIS_DA, BASIS_HV, BASIS_RL, PoincareVector,
                            StokesVector, measure)
 from .tomography import (TomographyRecord, canonical_inputs,
@@ -68,7 +69,7 @@ def _readings_for_state(s_out: StokesVector, rng, sigma: float,
     readings = {}
     for key, basis in BASIS_BY_KEY.items():
         pair = np.array(measure(s_out, basis))
-        if rng is not None and (sigma > 0 or background != 0.0):
+        if rng is not None:
             pair = apply_detector_noise(pair, rng, sigma, background)
         readings[key] = (float(pair[0]), float(pair[1]))
     return readings
@@ -95,7 +96,8 @@ def _tomography_once(cfg: RunConfig, t_store: float, eta: float,
         else:
             alpha = damping_factor(t_store,
                                    sigma_alpha_from_noise(noise.sigma_b))
-            phi = faraday_frequency(noise.mean_bz) * (t_store + tau_d)
+            phi = rotation_angle(t_store, tau_d,
+                                 faraday_frequency(noise.mean_bz))
             m = memory_mueller(MemoryParams(eta, alpha, phi))
             s_out = StokesVector.from_array(
                 m.m @ inputs[label].as_array() * attenuation)
@@ -125,11 +127,11 @@ def cmd_fig3(cfg: RunConfig) -> Table:
     rows = []
     for i, t in enumerate(t_us):
         t_s = t * 1e-6
-        shot = sample_shot(u_in, t_s, tau_d, 1.0, cfg.noise,
-                           _child_seed(cfg, 3, i))
-        model = damping_factor(t_s, sigma_alpha) \
-            * math.cos(omega_f * (t_s + tau_d) - phi0)
-        rows.append((float(t), shot.s1 / shot.s0, model))
+        shot = sample_shots(u_in, t_s, tau_d, 1.0, cfg.noise, 1,
+                            _child_seed(cfg, 3, i))[0]
+        model = s1_trace(t_s, sigma_alpha,
+                         rotation_angle(t_s, tau_d, omega_f), phi0)
+        rows.append((float(t), float(shot[1] / shot[0]), model))
     return Table(
         header=["t_store_us", "s1_over_s0_shot", "s1_over_s0_model"],
         rows=rows, default_filename="fig3.csv")
@@ -172,7 +174,7 @@ def cmd_fig4(cfg: RunConfig) -> Table:
         metadata.append(f"fit.{preset}.amplitude = {amp:.6f}")
         for t, a in zip(t_grid, alphas):
             model = damping_factor(float(t), sigma_alpha)
-            fitted = amp * math.exp(-t**2 / (2.0 * sig**2))
+            fitted = amp * damping_factor(float(t), sig)
             rows.append((preset, float(t) * 1e3, a, model, fitted))
     return Table(
         header=["preset", "t_store_ms", "alpha_tomography", "alpha_model",
@@ -287,7 +289,7 @@ def cmd_tomography(cfg: RunConfig) -> Table:
     for rep in range(repeats):
         measurements, record, params, residual = _tomography_once(
             cfg, t_store, eta, cfg.noise, shots, (12, rep))
-        avg_f = (2.0 + params.alpha) / 3.0
+        avg_f = average_process_fidelity(params.alpha)
         fidelities.append(avg_f)
         cond = record.condition_number
         for label, key, i_plus, i_minus in measurements:

@@ -32,7 +32,6 @@ class PulseParams:
 
     tau_p: float            # temporal rms width of the intensity, s
     t0: float               # control switch-off time after the peak entered, s
-    i0: float = 1.0         # peak intensity, arbitrary units
     waist: float = 8e-6     # 1/e^2 intensity radius, m
 
     def __post_init__(self):
@@ -50,24 +49,6 @@ class EfficiencyResult:
     eta_trans: float
     eta_total: float
     compression: CompressionCheck | None
-
-
-def pulse_intensity(t: float, z: float, pulse: PulseParams, tau_d_z: float,
-                    dispersion_broadening: bool = False,
-                    omega_p: float | None = None) -> float:
-    """Intensity of the delayed pulse at time t and position z.
-
-    The envelope stays Gaussian, centered at tau_d(z) + z/c.  The optional
-    dispersion broadening tau_p^2(z) = tau_p^2 + (tau_d(z)/(tau_p omega_p))^2
-    is negligible for realistic parameters but kept for completeness.
-    """
-    tau2 = pulse.tau_p**2
-    if dispersion_broadening:
-        if omega_p is None:
-            raise ValueError("dispersion broadening requires omega_p")
-        tau2 = tau2 + (tau_d_z / (pulse.tau_p * omega_p))**2
-    arg = t - tau_d_z - z / SPEED_OF_LIGHT
-    return pulse.i0 * math.exp(-arg**2 / (2.0 * tau2))
 
 
 def eta_comp(t0, tau_p, tau_d, transit=0.0):
@@ -92,8 +73,7 @@ def eta_trans(tau_p, delta_omega_trans):
     return (1.0 + 2.0 / (tau_p * delta_omega_trans)**2)**-0.5
 
 
-def _factors(d_p, omega_c, t0, tau_p: float, gamma: float, transit=0.0,
-             broadened: bool = False):
+def _factors(d_p, omega_c, t0, tau_p: float, gamma: float, transit=0.0):
     """(eta_comp, eta_trans) on probe lines of optical depth ``d_p``.
 
     ``d_p``, ``omega_c``, ``t0`` and ``transit`` broadcast against each
@@ -104,10 +84,7 @@ def _factors(d_p, omega_c, t0, tau_p: float, gamma: float, transit=0.0,
     dp_safe = np.where(pos, d_p, 1.0)
     tau_d = pulse_delay(omega_c, dp_safe, gamma)
     width = transparency_width(omega_c, gamma, dp_safe)
-    # rms width after the Gaussian transmission window:
-    # tau_p^2(L) = tau_p^2 + 2/width^2, so eta_trans = tau_p(0)/tau_p(L)
-    tau_eff = np.sqrt(tau_p**2 + 2.0 / width**2) if broadened else tau_p
-    e_c = eta_comp(t0, tau_eff, tau_d, transit)
+    e_c = eta_comp(t0, tau_p, tau_d, transit)
     e_t = eta_trans(tau_p, width)
     # [()] turns a 0-d result back into a scalar and leaves arrays alone
     return np.where(pos, e_c, 0.0)[()], np.where(pos, e_t, 1.0)[()]
@@ -121,8 +98,8 @@ def _eta_on_depth(d_p, omega_c, t0, tau_p: float, gamma: float,
 
 
 def eta_total(omega_c, pulse: PulseParams, medium: MediumParams,
-              x: float = 0.0, y: float = 0.0, include_transit: bool = True,
-              broadened: bool = False) -> EfficiencyResult:
+              x: float = 0.0, y: float = 0.0,
+              include_transit: bool = True) -> EfficiencyResult:
     """Single-cycle efficiency for the probe line through (x, y).
 
     ``omega_c`` may be a plain Rabi frequency in rad/s, an array of them
@@ -135,7 +112,7 @@ def eta_total(omega_c, pulse: PulseParams, medium: MediumParams,
     transit = medium.chord_length(x, y) / SPEED_OF_LIGHT if include_transit \
         else 0.0
     e_c, e_t = _factors(d_p, omega_c, pulse.t0, pulse.tau_p,
-                        medium.gamma_total, transit, broadened)
+                        medium.gamma_total, transit)
     compression = check_compression_condition(
         pulse_delay(omega_c, d_p, medium.gamma_total), pulse.tau_p, d_p) \
         if d_p > 0 else None

@@ -153,21 +153,15 @@ def s1_trace(t_store: float, sigma_alpha: float, phi: float,
     return damping_factor(t_store, sigma_alpha) * math.cos(phi - phi0)
 
 
-def sample_shot(u_in: PoincareVector, t_store: float, tau_d: float,
-                eta: float, noise: NoiseModel, seed: int) -> StokesVector:
-    """Simulate one storage shot with a field value drawn from the noise model.
-
-    The shot itself is unitary: the output Poincare vector stays on the unit
-    sphere, only its azimuth fluctuates from shot to shot.
-    """
-    return StokesVector.from_array(
-        sample_shots(u_in, t_store, tau_d, eta, noise, 1, seed)[0])
-
-
 def sample_shots(u_in: PoincareVector, t_store: float, tau_d: float,
                  eta: float, noise: NoiseModel, n: int,
-                 seed: int) -> np.ndarray:
-    """Vectorized ``sample_shot``: (n, 4) array of output Stokes vectors."""
+                 seed: np.random.SeedSequence | int) -> np.ndarray:
+    """Simulate n storage shots with field values drawn from the noise model.
+
+    Returns an (n, 4) array of output Stokes vectors.  Each shot is unitary:
+    its output Poincare vector stays on the unit sphere, only its azimuth
+    fluctuates from shot to shot.
+    """
     if abs(u_in.norm - 1.0) > 1e-6:
         raise ValueError("input state must be pure (unit Poincare vector)")
     rng = np.random.default_rng(seed)

@@ -8,7 +8,7 @@ matrix by a linear solve.  The structured memory form then yields the
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,25 +41,23 @@ class TomographyRecord:
 
     inputs: tuple[StokesVector, ...]
     outputs: tuple[StokesVector, ...]
+    # inputs stacked as columns of a 4x4 matrix, and its condition number
+    input_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    condition_number: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if len(self.inputs) != 4 or len(self.outputs) != 4:
             raise ValueError("process tomography needs 4 input/output pairs")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
-
-    @property
-    def input_matrix(self) -> np.ndarray:
-        """Inputs stacked as columns of a 4x4 matrix."""
-        return np.column_stack([s.as_array() for s in self.inputs])
+        x = np.column_stack([s.as_array() for s in self.inputs])
+        object.__setattr__(self, "input_matrix", x)
+        object.__setattr__(self, "condition_number",
+                           float(np.linalg.cond(x)))
 
     @property
     def output_matrix(self) -> np.ndarray:
         return np.column_stack([s.as_array() for s in self.outputs])
-
-    @property
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.input_matrix))
 
 
 @dataclass(frozen=True)

@@ -380,6 +380,17 @@ class TestCommandLine:
             + column(header, rows, "i_minus")
         assert min(readings) == 0.0
 
+    def test_warnings_print_as_one_line_messages(self, capsys, tmp_path):
+        out = tmp_path / "tomo.csv"
+        assert main(["tomography", "--out", str(out),
+                     "--set", "detector.relative_sigma=0.05",
+                     "--set", "tomography.shots=300"]) == 0
+        err = capsys.readouterr().err
+        assert "matrix deviates from the memory form" in err
+        assert all(line.startswith("becmem: warning: ")
+                   for line in err.splitlines())
+        assert ".py:" not in err
+
     def test_fig4_suppresses_only_the_structure_warning(self, monkeypatch):
         from becmemory import commands
         extract = commands.extract_memory_params

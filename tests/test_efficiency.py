@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from becmemory.constants import (BOLTZMANN, HBAR, RB87_MASS,
                                 SPEED_OF_LIGHT)
-from becmemory.efficiency import (PulseParams, _eta_on_depth, _radial_weight,
-                                  bimodal_eta, eta_comp, eta_decay,
-                                  eta_total, eta_trans, optimize_eta,
-                                  pulse_intensity, recoil_sigma_eta,
+from becmemory.efficiency import (REFINE_TOL, PulseParams, _eta_on_depth,
+                                  _radial_weight, bimodal_eta, eta_comp,
+                                  eta_decay, eta_total, eta_trans,
+                                  optimize_eta, recoil_sigma_eta,
                                   thermal_decay_time, transverse_average_eta)
 from becmemory.eit import MediumParams, optical_depth, pulse_delay
 
@@ -30,29 +30,6 @@ def medium() -> MediumParams:
 @pytest.fixture
 def pulse() -> PulseParams:
     return PulseParams(tau_p=94e-9, t0=230e-9, waist=8e-6)
-
-
-class TestPulseIntensity:
-    def test_peak(self, pulse):
-        z = 10e-6
-        t = 550e-9 + z / SPEED_OF_LIGHT
-        assert pulse_intensity(t, z, pulse, 550e-9) == 1.0
-
-    def test_rms_offset(self, pulse):
-        value = pulse_intensity(pulse.tau_p, 0.0, pulse, 0.0)
-        assert value == pytest.approx(math.exp(-0.5), rel=1e-12)
-
-    def test_dispersion_broadening_negligible(self, pulse):
-        omega_p = TWO_PI * SPEED_OF_LIGHT / 795e-9
-        t = 550e-9 + 40e-9
-        plain = pulse_intensity(t, 0.0, pulse, 550e-9)
-        broadened = pulse_intensity(t, 0.0, pulse, 550e-9,
-                                    dispersion_broadening=True,
-                                    omega_p=omega_p)
-        assert abs(broadened / plain - 1.0) < 1e-6
-        with pytest.raises(ValueError):
-            pulse_intensity(t, 0.0, pulse, 550e-9,
-                            dispersion_broadening=True)
 
 
 class TestEtaComp:
@@ -168,14 +145,6 @@ class TestEtaTotal:
                         PulseParams(scaled.tau_p, s * t0, waist=base.waist),
                         medium, include_transit=False).eta_total
                     assert abs(mapped - ref) <= 1e-9
-
-    def test_broadened_mode_lowers_compression(self, medium, pulse):
-        plain = eta_total(TWO_PI * 15e6, pulse, medium)
-        broad = eta_total(TWO_PI * 15e6, pulse, medium, broadened=True)
-        assert broad.eta_comp < plain.eta_comp
-        assert broad.eta_trans == plain.eta_trans
-        # little effect at the operating point
-        assert plain.eta_comp - broad.eta_comp < 0.05
 
 
 class TestTransverseAverage:
@@ -326,6 +295,31 @@ class TestOptimizeEta:
                               grid_shape=(40, 1))
         assert result.on_boundary
         assert result.omega_c == pytest.approx(TWO_PI * 40e6, rel=1e-9)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="optimize_eta's refinement stops while its t0 stencil is "
+               "still wider than the pulse: at d_p = 195, tau_p = 20 ns "
+               "the on-axis search ends on the t0 = 0 boundary at "
+               "eta = 0.479, the averaged one finds 0.835")
+    @settings(max_examples=30, deadline=None)
+    @example(d_p=195.0, tau_ns=20.0, waist_um=1.0)
+    @given(d_p=st.floats(1.0, 1000.0), tau_ns=st.floats(20.0, 500.0),
+           waist_um=st.floats(1.0, 50.0))
+    def test_averaged_optimum_never_beats_on_axis(self, d_p, tau_ns,
+                                                  waist_um):
+        # At one (omega_c, t0) thinner off-axis lines can beat the axis;
+        # over the same search bounds the averaged optimum cannot.
+        medium = MediumParams(atom_number=1.2e6, r_x=7e-6, r_y=25e-6,
+                              r_z=25e-6, gamma_total=GAMMA,
+                              branching_ratio=1.0 / 12.0,
+                              lambda_p=795e-9).rescaled_to_depth(d_p)
+        pulse = PulseParams(tau_p=tau_ns * 1e-9, t0=0.0,
+                            waist=waist_um * 1e-6)
+        on_axis = optimize_eta(medium, pulse, grid_shape=(24, 24))
+        averaged = optimize_eta(medium, pulse, waist=pulse.waist,
+                                grid_shape=(24, 24))
+        assert averaged.eta <= on_axis.eta * (1.0 + REFINE_TOL)
 
 
 class TestRecoilAndDecay:

@@ -13,8 +13,8 @@ from becmemory.memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix,
                               NoiseModel, apply_detector_noise, apply_mueller,
                               average_process_fidelity, damping_factor,
                               faraday_frequency, memory_mueller,
-                              rotation_angle, s1_trace, sample_shot,
-                              sample_shots, sigma_alpha_from_noise)
+                              rotation_angle, s1_trace, sample_shots,
+                              sigma_alpha_from_noise)
 from becmemory.polarization import PoincareVector, StokesVector, fidelity
 
 TWO_PI = 2.0 * math.pi
@@ -267,7 +267,8 @@ class TestSampleShot:
         noise = NoiseModel(1.0 / 7.0, 0.0)
         u = PoincareVector(1.0, 0.0, 0.0)
         t, tau_d, eta = 3.7e-6, 550e-9, 0.8
-        shot = sample_shot(u, t, tau_d, eta, noise, seed=5)
+        shot = StokesVector.from_array(
+            sample_shots(u, t, tau_d, eta, noise, 1, seed=5)[0])
         phi = faraday_frequency(noise.mean_bz) * (t + tau_d)
         expected = apply_mueller(memory_mueller(MemoryParams(eta, 1.0, phi)),
                                  StokesVector(1, 1, 0, 0))
@@ -278,14 +279,15 @@ class TestSampleShot:
         noise = NoiseModel.from_preset("unsynchronized")
         u = PoincareVector(0.0, 1.0, 0.0)
         for seed in range(20):
-            shot = sample_shot(u, 1e-3, 0.0, 0.31, noise, seed)
+            shot = StokesVector.from_array(
+                sample_shots(u, 1e-3, 0.0, 0.31, noise, 1, seed)[0])
             norm = math.sqrt(shot.s1**2 + shot.s2**2 + shot.s3**2) / shot.s0
             assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_impure_input_rejected(self):
         with pytest.raises(ValueError):
-            sample_shot(PoincareVector(0.5, 0, 0), 0.0, 0.0, 1.0,
-                        NoiseModel(0.1, 0.0), 0)
+            sample_shots(PoincareVector(0.5, 0, 0), 0.0, 0.0, 1.0,
+                         NoiseModel(0.1, 0.0), 1, 0)
 
     def test_mean_matches_damped_envelope(self):
         # with zero mean field the average s1 at t = sigma_alpha is e^-1/2
@@ -321,7 +323,8 @@ class TestSampleShot:
         # unitary rotation cannot reduce the s3 fidelity of circular light
         noise = NoiseModel.from_preset("unsynchronized")
         u = PoincareVector(0.0, 0.0, 1.0)
-        shot = sample_shot(u, 1e-3, 0.0, 1.0, noise, seed=12)
+        shot = StokesVector.from_array(
+            sample_shots(u, 1e-3, 0.0, 1.0, noise, 1, seed=12)[0])
         out = PoincareVector(shot.s1 / shot.s0, shot.s2 / shot.s0,
                              shot.s3 / shot.s0)
         assert fidelity(u, out) == pytest.approx(1.0, abs=1e-12)
