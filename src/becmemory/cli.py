@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success; 2 for any bad configuration (unknown key,
 malformed, non-finite, out-of-range or inconsistent value, unreadable
-file); 3 only for numerical failures (non-convergent fits, singular
-reconstructions, a non-finite value in the output table).  Each warning
-raised during a run is printed to stderr as one ``becmem: warning:`` line.
+config file, unwritable output file); 3 only for numerical failures
+(non-convergent fits, singular reconstructions, a non-finite value in the
+output table).  Each warning raised during a run is printed to stderr as
+one ``becmem: warning:`` line.
 """
 
 import argparse
@@ -67,14 +68,21 @@ def main(argv=None) -> int:
         code, message = failure
         print(f"becmem: {message}", file=sys.stderr)
         return code
-    if table.report:
-        print(table.report)
     out = args.out or cfg.raw["output.path"]   # "" means unset
     if not out and table.report is None:
         out = table.default_filename
     if out:
-        write_table(out, args.command, __version__, cfg.raw, table.header,
-                    table.rows, table.extra_metadata)
+        try:
+            write_table(out, args.command, __version__, cfg.raw,
+                        table.header, table.rows, table.extra_metadata)
+        except OSError as exc:
+            print(f"becmem: config error: cannot write output file {out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
+    # the report is printed only once the run can no longer fail
+    if table.report:
+        print(table.report)
+    if out:
         print(f"wrote {out}")
     return 0
 

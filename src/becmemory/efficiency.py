@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# bound as ``quad``: perfbench's tracer counts integrator calls by that name
-from scipy.integrate import quad_vec as quad
-from scipy.special import erf, i0e
 
 from .constants import (BOLTZMANN, D1_WAVELENGTH, HBAR, RB87_MASS,
                         SPEED_OF_LIGHT)
@@ -24,6 +21,14 @@ from .eit import (CompressionCheck, ControlField, MediumParams,
                   transparency_width)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def quad(*args, **kwargs):
+    """scipy's ``quad_vec``, imported on first call so that importing this
+    module loads no scipy; perfbench's tracer counts integrator calls by
+    this name."""
+    from scipy.integrate import quad_vec
+    return quad_vec(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,7 @@ def eta_comp(t0, tau_p, tau_d, transit=0.0):
     functions; ``transit`` is the vacuum flight time L/c through the medium.
     All arguments broadcast.
     """
+    from scipy.special import erf
     if np.any(tau_p <= 0):
         raise ValueError("tau_p must be > 0")
     a = t0 / (SQRT2 * tau_p)
@@ -128,6 +134,7 @@ def _radial_weight(r, r_x: float, r_y: float, waist: float):
     b = 2 Ry^2 r^2/w^2; the exponentially scaled Bessel function keeps the
     product well-conditioned for strongly unequal radii.
     """
+    from scipy.special import i0e
     r = np.asarray(r, float)
     a = 2.0 * (r_x * r / waist)**2
     b = 2.0 * (r_y * r / waist)**2

@@ -469,6 +469,19 @@ class TestCommandLine:
         assert sorted(p.name for p in tmp_path.iterdir()) \
             == ["fig5.csv", "x.csv", "y.csv"]
 
+    @pytest.mark.parametrize("argv", [["fig5", "--set", "fig5.n_points=5"],
+                                      ["optimize", "--set", "optimize.grid=8"]])
+    def test_unwritable_output_exit_code(self, argv, capsys, tmp_path):
+        out = tmp_path / "missing" / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""    # no report of a run that failed
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"becmem: config error: cannot write output file {out}: ")
+        assert not out.parent.exists()
+
     def test_attenuation_scales_fig5(self, tmp_path):
         plain = tmp_path / "plain.csv"
         scaled = tmp_path / "scaled.csv"

@@ -1,0 +1,68 @@
+"""Importing becmemory loads no scipy; each command loads only what it calls.
+
+scipy's subpackages cost most of a short command's start-up, so they are
+imported inside the kernels that use them.  Each check runs one command
+through ``becmemory.cli.main`` in a fresh interpreter, so it covers
+``import becmemory`` and ``import becmemory.cli`` too, and lists the
+``scipy`` modules loaded by then; a stray top-level import fails it.  No
+time is measured.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).parents[1]
+
+REPORT = ("import json, sys\n"
+          "print(json.dumps(sorted(m for m in sys.modules\n"
+          "                        if m.split('.')[0] == 'scipy')))\n")
+
+SCIPY_FREE = {
+    "fig3": ["--set", "fig3.window_starts_us=0", "--set", "fig3.step_us=5.0"],
+    "fig5": ["--set", "fig5.n_points=5"],
+    "fig6": ["--set", "fig6.n_points=5"],
+    "fig8": ["--set", "fig8.n_points=5"],
+    "tomography": ["--set", "tomography.repeats=1"],
+}
+
+
+def scipy_modules(code, cwd):
+    """The scipy modules loaded after running ``code`` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code + "\n" + REPORT],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def run_command(argv):
+    return ("from becmemory.cli import main\n"
+            f"assert main({argv!r}) == 0\n")
+
+
+@pytest.mark.parametrize("command", sorted(SCIPY_FREE))
+def test_short_command_loads_no_scipy(command, tmp_path):
+    argv = [command, "--out", str(tmp_path / "out.csv"), *SCIPY_FREE[command]]
+    assert scipy_modules(run_command(argv), tmp_path) == set()
+
+
+def test_fig4_loads_optimize_only(tmp_path):
+    argv = ["fig4", "--out", str(tmp_path / "out.csv"),
+            "--set", "fig4.n_points=5", "--set", "fig4.shots=20"]
+    loaded = scipy_modules(run_command(argv), tmp_path)
+    assert "scipy.optimize" in loaded
+    assert "scipy.integrate" not in loaded
+
+
+def test_optimize_loads_special_only(tmp_path):
+    argv = ["optimize", "--set", "optimize.grid=8"]
+    loaded = scipy_modules(run_command(argv), tmp_path)
+    assert "scipy.special" in loaded
+    assert "scipy.integrate" not in loaded
+    assert "scipy.optimize" not in loaded
