@@ -39,8 +39,12 @@ class DataSeries:
             self.sigma_y = np.asarray(self.sigma_y, dtype=float)
             if self.sigma_y.shape != self.x.shape:
                 raise ValueError("sigma_y must match x in shape")
-            if np.any(self.sigma_y <= 0):
-                raise ValueError("sigma_y must be strictly positive")
+        for name in ("x", "y", "sigma_y"):
+            values = getattr(self, name)
+            if values is not None and not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+        if self.sigma_y is not None and np.any(self.sigma_y <= 0):
+            raise ValueError("sigma_y must be strictly positive")
 
     @property
     def n(self) -> int:
@@ -84,8 +88,7 @@ def _finish(names, data: DataSeries, model, p0, bounds) -> FitResult:
     return FitResult(params, errors, chi2, True)
 
 
-# Largest zero-padded lattice the FFT scan allocates (2**22 float64 samples,
-# 32 MB); a longer lattice takes the direct scan.
+# Largest FFT the coarse frequency scan takes (2**22 float64 samples, 32 MB).
 FFT_MAX_SAMPLES = 1 << 22
 
 
@@ -111,62 +114,42 @@ def _explained(freqs, x, ye, e2=None):
     return (cc * c**2 - 2.0 * b * c * s + a * s**2) / det
 
 
-def _lattice_step(x, span, min_step):
-    """Step delta such that every x is x.min() + m*delta for an integer m,
-    to 1e-6 delta, or None when there is no such lattice or its zero-padded
-    FFT would exceed ``FFT_MAX_SAMPLES``.
+def _coarse_scan(x, ye, span):
+    """Frequency of the largest diagonal-Gram power |sum ye exp(-2 pi i f x)|^2
+    over [0.25/span, 0.25/delta], by extirpolation (Press & Rybicki, ApJ 338,
+    277, 1989): each sample is spread onto a uniform grid of n steps
+    delta = span / n with the order-4 Lagrange weights of the two nodes on
+    either side of it, and one rfft, zero-padded to a power of two at least
+    4 (n + 1) and 4096, gives the sum in bins at most 1/(4 span) wide.  The
+    band stops at half the grid's Nyquist frequency, below which the
+    weights interpolate exp(-2 pi i f x) well.
 
-    delta is span / round(span / min_step): rounding in a raw minimum gap
-    would grow with m across a long span.
+    n = 2 round(span / dx), dx the smallest gap, puts the band's top at
+    0.5/dx to rounding; on a lattice every sample sits on an even node with
+    weights 1 and 0, so the scan is the FFT of the samples summed per site.
+    To keep the FFT within ``FFT_MAX_SAMPLES``, n is capped at
+    FFT_MAX_SAMPLES/4 - 1: a smaller gap coarsens the grid, and the band
+    then ends below 0.5/dx rather than where the extirpolation fails.
     """
-    n_steps = round(span / min_step)
-    if 4 * (n_steps + 1) > FFT_MAX_SAMPLES:
-        return None
-    delta = span / n_steps
-    m = (x - x.min()) / delta
-    return delta if np.max(np.abs(m - np.rint(m))) <= 1e-6 else None
-
-
-def _lattice_scan(x, ye, span, delta):
-    """Coarse scan on a lattice: (best frequency, zoom step 1/(4 span)).
-
-    ``ye`` is summed onto the lattice and zero-padded to a power of two at
-    least 4x its length and at least 2048, so the bins are no wider than the
-    grid of ``_direct_scan`` (1/(4 span), or 512 points over the band);
-    |rfft|^2 is then its diagonal-Gram power at every bin of the same band
-    [0.25/span, 0.5/delta].  The zoom starts from 1/(4 span), not from the
-    finer bin width: its window of +-2 steps must still reach the profiled
-    peak, which can sit a tenth of 1/span from the diagonal-Gram one.
-    """
-    n_steps = round(span / delta)
-    n_fft = max(1 << (4 * (n_steps + 1) - 1).bit_length(), 2048)
-    grid = np.zeros(n_steps + 1)
-    np.add.at(grid, np.rint((x - x.min()) / delta).astype(np.intp), ye)
-    power = np.abs(np.fft.rfft(grid, n_fft))**2
+    dx = np.diff(np.unique(x)).min()
+    n = int(min(2.0 * np.rint(span / dx), FFT_MAX_SAMPLES // 4 - 1))
+    delta = span / n
+    n_fft = max(1 << (4 * (n + 1) - 1).bit_length(), 4096)
+    u = (x - x.min()) / delta
+    t = u - np.floor(u)
+    weights = np.column_stack([-t * (t - 1.0) * (t - 2.0) / 6.0,
+                               (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+                               -(t + 1.0) * t * (t - 2.0) / 2.0,
+                               (t + 1.0) * t * (t - 1.0) / 6.0])
+    # Node -1 of a sample before the first node indexes the grid's end,
+    # the same place for the DFT, whose period is n_fft delta.
+    nodes = np.floor(u).astype(np.intp)[:, None] + np.arange(-1, 3)
+    grid = np.zeros(n_fft)
+    np.add.at(grid, nodes, weights * ye[:, None])
+    power = np.abs(np.fft.rfft(grid))**2
     bin_width = 1.0 / (n_fft * delta)
     first = math.ceil(0.25 / (span * bin_width))
-    best = (first + int(np.argmax(power[first:]))) * bin_width
-    return best, 0.25 / span
-
-
-def _direct_scan(x, ye, span, min_step):
-    """Coarse scan of any abscissas: (best frequency, grid step).
-
-    The diagonal-Gram power on an evenly spaced grid over
-    [0.25/span, 0.5/min_step], 1/(4 span) apart but at most 2**18 points,
-    in chunks that bound the memory.
-    """
-    lo, hi = 0.25 / span, 0.5 / min_step
-    n_scan = min(max(int(math.ceil((hi - lo) * 4.0 * span)), 512), 1 << 18)
-    freqs = np.linspace(lo, hi, n_scan)
-    best, best_val = lo, -np.inf
-    for start in range(0, n_scan, 8192):
-        chunk = freqs[start:start + 8192]
-        values = _explained(chunk, x, ye)
-        k = int(np.argmax(values))
-        if values[k] > best_val:
-            best, best_val = chunk[k], values[k]
-    return best, (hi - lo) / max(n_scan - 1, 1)
+    return (first + int(np.argmax(power[first:n_fft // 4 + 1]))) * bin_width
 
 
 def _zoom(x, ye, e2, best, step):
@@ -192,23 +175,18 @@ def _dominant_frequency(x, y, envelope=None) -> float:
 
     The mainlobe is only ~1/span wide, so the coarse scan must resolve it or
     a sidelobe of the sampling comb wins.  It ranks basins with the cheap
-    diagonal-Gram power: one zero-padded FFT when the abscissas sit on a
-    lattice (Press & Rybicki, ApJ 338, 277, 1989) whose padded length is at
-    most ``FFT_MAX_SAMPLES``, else a direct sum at each trial frequency.
+    diagonal-Gram power, one zero-padded FFT of the extirpolated samples
+    (``_coarse_scan``).  The zoom steps start at 1/(4 span), not at the
+    finer bin width, so that its +-2 steps reach the profiled peak, which
+    can sit a tenth of 1/span from the diagonal-Gram one.
     """
     span = x.max() - x.min()
-    steps = np.diff(np.sort(np.unique(x)))
-    dx = steps[steps > 0].min() if steps.size and (steps > 0).any() else span
-    if span <= 0 or dx <= 0:
+    if span <= 0:
         return 0.0
     env = np.ones_like(x) if envelope is None else envelope
     ye = (y - y.mean()) * env
-    delta = _lattice_step(x, span, dx)
-    if delta is None:
-        best, step = _direct_scan(x, ye, span, dx)
-    else:
-        best, step = _lattice_scan(x, ye, span, delta)
-    return 2.0 * math.pi * float(_zoom(x, ye, env**2, best, step))
+    best = _coarse_scan(x, ye, span)
+    return 2.0 * math.pi * float(_zoom(x, ye, env**2, best, 0.25 / span))
 
 
 def _second_moment_width(x, y) -> float:

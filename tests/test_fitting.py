@@ -143,95 +143,111 @@ def jittered_trace():
     return x, y
 
 
-class _Scanned(Exception):
-    pass
+def direct_scan(x, ye, span, min_step):
+    """Reference coarse scan: (best frequency, grid step).
+
+    The diagonal-Gram power summed directly on an evenly spaced grid over
+    [0.25/span, 0.5/min_step], 1/(4 span) apart but at most 2**18 points,
+    in chunks that bound the memory.
+    """
+    lo, hi = 0.25 / span, 0.5 / min_step
+    n_scan = min(max(int(math.ceil((hi - lo) * 4.0 * span)), 512), 1 << 18)
+    freqs = np.linspace(lo, hi, n_scan)
+    best, best_val = lo, -np.inf
+    for start in range(0, n_scan, 8192):
+        chunk = freqs[start:start + 8192]
+        values = fitting._explained(chunk, x, ye)
+        k = int(np.argmax(values))
+        if values[k] > best_val:
+            best, best_val = chunk[k], values[k]
+    return best, (hi - lo) / max(n_scan - 1, 1)
 
 
-def coarse_scan_taken(monkeypatch, x):
-    """Name of the coarse scan ``_dominant_frequency`` runs on abscissas x
-    (the scan itself is stubbed out)."""
-    taken = []
-    for name in ("_lattice_scan", "_direct_scan"):
-        def stub(*args, name=name):
-            taken.append(name)
-            raise _Scanned
-        monkeypatch.setattr(fitting, name, stub)
-    with pytest.raises(_Scanned):
-        fitting._dominant_frequency(x, np.sin(np.arange(x.size)))
-    return taken[0]
+def scan_against_direct_scan(x, y, env):
+    """Frequencies found by ``_dominant_frequency`` and by the direct scan
+    with the same zoom, and the profiled variance each explains, keyed
+    "scan" and "direct"."""
+    ye = (y - y.mean()) * env
+    span = x.max() - x.min()
+    best = {"scan": fitting._dominant_frequency(x, y, env) / TWO_PI,
+            "direct": fitting._zoom(x, ye, env**2, *direct_scan(
+                x, ye, span, np.diff(np.unique(x)).min()))}
+    explained = {name: fitting._explained(np.array([f]), x, ye, env**2)[0]
+                 for name, f in best.items()}
+    return best, explained
 
 
 class TestFrequencyScan:
-    def test_fig3_times_take_the_lattice_scan(self, monkeypatch):
-        # arange(...) * 1e-6 carries rounding that grows along the span
-        assert coarse_scan_taken(monkeypatch, faraday_grid()) \
-            == "_lattice_scan"
-
-    def test_jittered_times_take_the_direct_scan(self, monkeypatch):
-        assert coarse_scan_taken(monkeypatch, jittered_trace()[0]) \
-            == "_direct_scan"
-
-    def test_lattice_longer_than_the_cap_takes_the_direct_scan(
-            self, monkeypatch):
-        # padded length 4 (n_steps + 1) just under and just over the cap
-        n_steps = fitting.FFT_MAX_SAMPLES // 4 - 1
-        assert coarse_scan_taken(
-            monkeypatch, np.array([0.0, 1.0, 2.0, n_steps])) \
-            == "_lattice_scan"
-        assert coarse_scan_taken(
-            monkeypatch, np.array([0.0, 1.0, 2.0, n_steps + 1])) \
-            == "_direct_scan"
-
-    def test_off_lattice_result_unchanged(self):
-        # value of the direct scan recorded before the lattice path existed
-        x, y = jittered_trace()
+    def test_lattice_result_unchanged(self):
+        # value of the lattice-only FFT scan the extirpolated scan replaced
+        x = faraday_grid()
+        rng = np.random.default_rng(20121005)
+        y = damped_cos(x, 1.0, TWO_PI * 0.2e6, 0.3, 1.1e-3) \
+            + 0.05 * rng.normal(size=x.size)
         envelope = np.exp(-x**2 / (2.0 * 1.0e-3**2))
         assert fitting._dominant_frequency(x, y, envelope) \
-            == 1256612.7519387025
+            == 1256653.704647717
+
+    def test_off_lattice_scan_explains_as_much_as_direct_scan(self):
+        x, y = jittered_trace()
+        envelope = np.exp(-x**2 / (2.0 * 1.0e-3**2))
+        best, explained = scan_against_direct_scan(x, y, envelope)
+        assert explained["scan"] >= explained["direct"] * (1.0 - 1e-9)
+        assert abs(best["scan"] - best["direct"]) < 1.0 / np.ptp(x)
+
+    def test_tiny_minimum_gap_keeps_the_fft_within_the_cap(
+            self, monkeypatch):
+        lengths = []
+        rfft = np.fft.rfft
+
+        def recorded(a, n=None, *args, **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        # random times, free of aliases, and one pair 1e-9 span apart
+        span = 1.0
+        x = np.sort(np.random.default_rng(7).uniform(0.0, span, 200))
+        x = np.concatenate([[0.0, span], x, [x[100] + 1e-9 * span]])
+        y = np.cos(TWO_PI * 5.0 / span * x + 0.4)
+        found = fitting._dominant_frequency(x, y) / TWO_PI
+        assert lengths and max(lengths) <= fitting.FFT_MAX_SAMPLES
+        assert abs(found - 5.0 / span) < 1.0 / span
 
     # A damped sinusoid over at least 4 periods on a random lattice of at
-    # least 16 sites, more than half of them sampled.  Fewer periods or
-    # sites let aliases outrank the signal, which tests the data rather
-    # than the scan.
+    # least 16 sites, more than half of them sampled, each site pushed
+    # later by up to ``jitter`` steps.  Fewer periods or sites let aliases
+    # outrank the signal, which tests the data rather than the scan.
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_sites=st.integers(16, 96),
            offset=st.floats(-1e3, 1e3), delta=st.floats(1e-3, 10.0),
-           damped=st.booleans())
+           damped=st.booleans(), jitter=st.floats(0.0, 0.6))
     def test_lattice_scan_explains_as_much_as_direct_scan(
-            self, seed, n_sites, offset, delta, damped):
+            self, seed, n_sites, offset, delta, damped, jitter):
         rng = np.random.default_rng(seed)
         sites = rng.choice(n_sites + 1, int(rng.integers(
             n_sites // 2 + 1, n_sites + 2)), replace=False)
         sites = np.union1d(sites, [0, n_sites])
         sites = rng.permutation(np.concatenate(
             [sites, rng.choice(sites, int(rng.integers(0, 4)))]))
-        x = offset + sites * delta
+        shift = jitter * rng.uniform(size=n_sites + 1)
+        x = offset + (sites + shift[sites]) * delta
         span = x.max() - x.min()
         env = np.exp(-((x - x.min()) / span - rng.uniform())**2) if damped \
             else np.ones_like(x)
         freq = rng.uniform(4.0 / span, 0.4 / delta)
         y = env * np.cos(TWO_PI * freq * x + rng.uniform(0.0, TWO_PI)) \
             + rng.uniform(0.0, 0.3) * rng.normal(size=x.size)
-        ye = (y - y.mean()) * env
-        min_step = np.diff(np.unique(x)).min()
-        delta_found = fitting._lattice_step(x, span, min_step)
-        assert delta_found == pytest.approx(delta, rel=1e-9)
-        best, explained = {}, {}
-        for name, scan in (
-                ("lattice", fitting._lattice_scan(x, ye, span, delta_found)),
-                ("direct", fitting._direct_scan(x, ye, span, min_step))):
-            best[name] = fitting._zoom(x, ye, env**2, *scan)
-            explained[name] = fitting._explained(np.array([best[name]]), x,
-                                                 ye, env**2)[0]
-        nyquist = 0.5 / delta_found
+        best, explained = scan_against_direct_scan(x, y, env)
+        nyquist = 0.5 / delta
         if abs(best["direct"] - nyquist) < 1.0 / span:
             # The sine column vanishes at the Nyquist frequency, so the
             # profiled variance has a singular spike there that can outrank
             # the signal on both paths; only the zoom's final resolution
             # orders the two values, so ask for the same basin.
-            assert abs(best["lattice"] - nyquist) < 1.0 / span
+            assert abs(best["scan"] - nyquist) < 1.0 / span
         else:
-            assert explained["lattice"] >= explained["direct"] * (1.0 - 1e-9)
+            assert explained["scan"] >= explained["direct"] * (1.0 - 1e-9)
 
 
 class TestGaussianDecay:
@@ -350,6 +366,15 @@ class TestDataSeries:
             DataSeries([1, 2], [1, 2, 3])
         with pytest.raises(ValueError):
             DataSeries([1, 2], [1, 2], [1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["x", "y", "sigma_y"])
+    def test_non_finite_rejected(self, field, bad):
+        values = {"x": [0.0, 1.0, 2.0, 3.0], "y": [1.0, 0.4, -0.6, -0.9],
+                  "sigma_y": [0.1, 0.1, 0.1, 0.1]}
+        values[field][1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            DataSeries(**values)
 
     def test_result_is_plain_record(self):
         result = FitResult({"a": 1.0}, {"a": 0.1}, 1.0, True)
