@@ -19,16 +19,9 @@ from .constants import (BOLTZMANN, D1_WAVELENGTH, HBAR, RB87_MASS,
 from .eit import (CompressionCheck, ControlField, MediumParams,
                   check_compression_condition, optical_depth, pulse_delay,
                   transparency_width)
+from .numerics import erf, i0e, quad
 
 SQRT2 = math.sqrt(2.0)
-
-
-def quad(*args, **kwargs):
-    """scipy's ``quad_vec``, imported on first call so that importing this
-    module loads no scipy; perfbench's tracer counts integrator calls by
-    this name."""
-    from scipy.integrate import quad_vec
-    return quad_vec(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,6 @@ def eta_comp(t0, tau_p, tau_d, transit=0.0):
     functions; ``transit`` is the vacuum flight time L/c through the medium.
     All arguments broadcast.
     """
-    from scipy.special import erf
     if np.any(tau_p <= 0):
         raise ValueError("tau_p must be > 0")
     a = t0 / (SQRT2 * tau_p)
@@ -134,7 +126,6 @@ def _radial_weight(r, r_x: float, r_y: float, waist: float):
     b = 2 Ry^2 r^2/w^2; the exponentially scaled Bessel function keeps the
     product well-conditioned for strongly unequal radii.
     """
-    from scipy.special import i0e
     r = np.asarray(r, float)
     a = 2.0 * (r_x * r / waist)**2
     b = 2.0 * (r_y * r / waist)**2
@@ -169,6 +160,7 @@ def transverse_average_eta(omega_c, pulse: PulseParams, medium: MediumParams,
     w = pulse.waist if waist is None else waist
     if w <= 0:
         raise ValueError("waist must be > 0")
+    omega_c = np.asarray(omega_c, float)[..., None]   # radial nodes last
 
     def integrand(r):
         d_p, transit = _radial_line(r, medium)
@@ -193,6 +185,7 @@ class OptimizeEtaResult:
 DEFAULT_OMEGA_BOUNDS = (2.0 * math.pi * 1e6, 2.0 * math.pi * 100e6)
 N_RADIAL = 96        # Gauss-Legendre nodes of optimize_eta's radial line
 REFINE_TOL = 1e-4    # relative eta gain below which a refinement pass is stale
+BLOCK_CELLS = 2**17  # most (Omega_c, t0, node) cells per objective block
 
 
 def optimize_eta(medium: MediumParams, pulse: PulseParams,
@@ -235,12 +228,13 @@ def optimize_eta(medium: MediumParams, pulse: PulseParams,
         transit = 0.0
 
     def objective(omegas, t0s):
-        # One Omega_c row at a time: the full (Omega_c, t0, node) cube of
-        # a 200 x 200 grid would hold 31 MB per temporary.
-        return np.stack([
-            _eta_on_depth(d_p, om, t0s[:, None], pulse.tau_p,
-                          medium.gamma_total, transit) @ weights
-            for om in omegas])
+        # Blocks of Omega_c rows: the full (Omega_c, t0, node) cube of a
+        # 200 x 200 grid would hold 31 MB per temporary.
+        rows = max(1, BLOCK_CELLS // (t0s.size * r.size))
+        return np.concatenate([
+            _eta_on_depth(d_p, omegas[i:i + rows, None, None], t0s[:, None],
+                          pulse.tau_p, medium.gamma_total, transit) @ weights
+            for i in range(0, omegas.size, rows)])
 
     n_om, n_t0 = grid_shape
     omegas = np.geomspace(om_lo, om_hi, max(n_om, 1))

@@ -1,7 +1,8 @@
 """Importing becmemory loads no scipy; each command loads only what it calls.
 
 scipy's subpackages cost most of a short command's start-up, so they are
-imported inside the kernels that use them.  Each check runs one command
+imported inside the kernels that use them, and the efficiency layer (fig7
+and optimize) uses numpy kernels instead.  Each check runs one command
 through ``becmemory.cli.main`` in a fresh interpreter, so it covers
 ``import becmemory`` and ``import becmemory.cli`` too, and lists the
 ``scipy`` modules loaded by then; a stray top-level import fails it.  No
@@ -23,11 +24,16 @@ REPORT = ("import json, sys\n"
           "                        if m.split('.')[0] == 'scipy')))\n")
 
 SCIPY_FREE = {
-    "fig3": ["--set", "fig3.window_starts_us=0", "--set", "fig3.step_us=5.0"],
-    "fig5": ["--set", "fig5.n_points=5"],
-    "fig6": ["--set", "fig6.n_points=5"],
-    "fig8": ["--set", "fig8.n_points=5"],
-    "tomography": ["--set", "tomography.repeats=1"],
+    "fig3": ["fig3", "--set", "fig3.window_starts_us=0",
+             "--set", "fig3.step_us=5.0"],
+    "fig5": ["fig5", "--set", "fig5.n_points=5"],
+    "fig6": ["fig6", "--set", "fig6.n_points=5"],
+    "fig7": ["fig7", "--set", "fig7.n_points=5"],
+    "fig8": ["fig8", "--set", "fig8.n_points=5"],
+    "optimize": ["optimize", "--set", "optimize.grid=8"],
+    "optimize-on-axis": ["optimize", "--set", "optimize.grid=8",
+                         "--set", "optimize.averaged=false"],
+    "tomography": ["tomography", "--set", "tomography.repeats=1"],
 }
 
 
@@ -48,7 +54,7 @@ def run_command(argv):
 
 @pytest.mark.parametrize("command", sorted(SCIPY_FREE))
 def test_short_command_loads_no_scipy(command, tmp_path):
-    argv = [command, "--out", str(tmp_path / "out.csv"), *SCIPY_FREE[command]]
+    argv = [*SCIPY_FREE[command], "--out", str(tmp_path / "out.csv")]
     assert scipy_modules(run_command(argv), tmp_path) == set()
 
 
@@ -58,11 +64,3 @@ def test_fig4_loads_optimize_only(tmp_path):
     loaded = scipy_modules(run_command(argv), tmp_path)
     assert "scipy.optimize" in loaded
     assert "scipy.integrate" not in loaded
-
-
-def test_optimize_loads_special_only(tmp_path):
-    argv = ["optimize", "--set", "optimize.grid=8"]
-    loaded = scipy_modules(run_command(argv), tmp_path)
-    assert "scipy.special" in loaded
-    assert "scipy.integrate" not in loaded
-    assert "scipy.optimize" not in loaded
