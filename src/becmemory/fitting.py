@@ -90,28 +90,49 @@ def _finish(names, data: DataSeries, model, p0, bounds) -> FitResult:
 
 # Largest FFT the coarse frequency scan takes (2**22 float64 samples, 32 MB).
 FFT_MAX_SAMPLES = 1 << 22
+# The cos and sin columns of a trial frequency count as parallel where the
+# smaller principal value of their 2x2 Gram matrix is at most this fraction
+# of its trace; the sine axis is then rounding noise.
+GRAM_RTOL = 1e-12
+# Grid points of the zoom over its +-2 step window, and the width, in steps,
+# to which the golden-section search narrows the bracket around the best.
+ZOOM_POINTS = 17
+ZOOM_XTOL = 1e-7
+GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def _explained(freqs, x, ye, e2=None):
     """Variance of ``ye`` explained by a sinusoid at each trial frequency.
 
-    With the squared envelope ``e2`` the amplitude and phase are profiled out
-    by the full 2x2 Gram solve; without it this is the diagonal-Gram power
+    With the squared envelope ``e2`` the amplitude and phase are profiled
+    out.  Each frequency's cos and sin columns are first rotated by the
+    Lomb-Scargle offset (Scargle, ApJ 263, 835, 1982), which makes them
+    orthogonal under the weights e2, so the variance is the sum of two
+    one-column projections.  The smaller principal value, sum e2 sin^2 of
+    the rotated phase, is summed from its terms rather than found as a
+    difference of near-equal sums, so the value stays accurate where the
+    columns are nearly parallel: next to f = 0, and next to a lattice's
+    Nyquist frequency, where the sine column vanishes.  Where that value
+    is at most ``GRAM_RTOL`` of sum e2 the columns are parallel, and only
+    the projection onto the cosine axis is kept.
+
+    Without ``e2`` this is the diagonal-Gram power
     |sum ye exp(-2 pi i f x)|^2.
     """
+    # Both values are unchanged by a shift of x; centring it keeps the
+    # phases, and their rounding errors, small.
+    x = x - 0.5 * (x.min() + x.max())
     phase = np.exp(-2j * math.pi * freqs[:, None] * x)
-    z1 = phase @ ye                          # (sum ye cos, -sum ye sin)
-    c, s = z1.real, -z1.imag
+    z1 = phase @ ye                          # sum ye (cos - i sin)
     if e2 is None:
-        return c**2 + s**2
+        return z1.real**2 + z1.imag**2
     sum_e2 = e2.sum()
-    z2 = (phase * phase) @ e2                # sum e^2 exp(-2i w t)
-    a = 0.5 * (sum_e2 + z2.real)             # sum e^2 cos^2
-    cc = 0.5 * (sum_e2 - z2.real)            # sum e^2 sin^2
-    b = -0.5 * z2.imag                       # sum e^2 cos sin
-    det = a * cc - b * b
-    det = np.where(np.abs(det) < 1e-300, np.inf, det)
-    return (cc * c**2 - 2.0 * b * c * s + a * s**2) / det
+    rotation = np.exp(-0.5j * np.angle((phase * phase) @ e2))
+    z1 = z1 * rotation                       # the same, rotated
+    sin2 = ((phase * rotation[:, None]).imag**2) @ e2
+    parallel = sin2 <= GRAM_RTOL * sum_e2
+    return z1.real**2 / (sum_e2 - sin2) + np.where(
+        parallel, 0.0, z1.imag**2 / np.where(parallel, 1.0, sin2))
 
 
 def _coarse_scan(x, ye, span):
@@ -153,14 +174,35 @@ def _coarse_scan(x, ye, span):
 
 
 def _zoom(x, ye, e2, best, step):
-    """Two passes of 512 frequencies, each +-2 steps around the best so far,
-    ranked by the profiled variance."""
-    for _ in range(2):
-        freqs = np.linspace(max(best - 2.0 * step, 0.0), best + 2.0 * step,
-                            512)
-        best = freqs[np.argmax(_explained(freqs, x, ye, e2))]
-        step = freqs[1] - freqs[0]
-    return best
+    """Frequency of the largest profiled variance within +-2 steps of best.
+
+    ``ZOOM_POINTS`` evenly spaced frequencies rank the window; a
+    golden-section search (Brent 1973, ch. 5) then narrows the bracket
+    between the best node's neighbours to ``ZOOM_XTOL`` steps.  At an edge
+    node the bracket reaches one spacing past the window, where the peak
+    then lies.
+    """
+    freqs = np.linspace(max(best - 2.0 * step, 0.0), best + 2.0 * step,
+                        ZOOM_POINTS)
+    k = int(np.argmax(_explained(freqs, x, ye, e2)))
+    spacing = freqs[1] - freqs[0]
+    lo, hi = max(freqs[k] - spacing, 0.0), freqs[k] + spacing
+
+    def explained(f):
+        return _explained(np.array([f]), x, ye, e2)[0]
+
+    inner = [hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)]
+    vals = [explained(f) for f in inner]
+    while hi - lo > ZOOM_XTOL * step:
+        if vals[0] >= vals[1]:
+            hi = inner[1]
+            inner = [hi - GOLDEN * (hi - lo), inner[0]]
+            vals = [explained(inner[0]), vals[0]]
+        else:
+            lo = inner[0]
+            inner = [inner[1], lo + GOLDEN * (hi - lo)]
+            vals = [vals[1], explained(inner[1])]
+    return inner[0] if vals[0] >= vals[1] else inner[1]
 
 
 def _dominant_frequency(x, y, envelope=None) -> float:
@@ -169,15 +211,15 @@ def _dominant_frequency(x, y, envelope=None) -> float:
 
     This is the discrete-spectrum peak generalized to irregular sampling:
     at each trial frequency the amplitude and phase are profiled out by a
-    linear solve, and the scan is zoomed twice around the best frequency.
+    linear solve, and a bracketed search zooms in on the best frequency.
     Data with long gaps have near-degenerate frequency basins spaced by
     ~1/span; ranking them with the envelope included picks the right one.
 
     The mainlobe is only ~1/span wide, so the coarse scan must resolve it or
     a sidelobe of the sampling comb wins.  It ranks basins with the cheap
     diagonal-Gram power, one zero-padded FFT of the extirpolated samples
-    (``_coarse_scan``).  The zoom steps start at 1/(4 span), not at the
-    finer bin width, so that its +-2 steps reach the profiled peak, which
+    (``_coarse_scan``).  The zoom's steps are 1/(4 span), not the finer
+    bin width, so that its +-2 step window reaches the profiled peak, which
     can sit a tenth of 1/span from the diagonal-Gram one.
     """
     span = x.max() - x.min()
