@@ -123,13 +123,18 @@ def _explained(freqs, x, ye, e2=None):
     # phases, and their rounding errors, small.
     x = x - 0.5 * (x.min() + x.max())
     phase = np.exp(-2j * math.pi * freqs[:, None] * x)
-    z1 = phase @ ye                          # sum ye (cos - i sin)
+    # The sums over samples go through einsum, not ``@``: OpenBLAS hands a
+    # complex matrix-vector product of a few thousand elements to its
+    # worker threads, which then spin on a second core between calls and
+    # make the fit's speed depend on whatever else runs on the machine.
+    z1 = np.einsum("fn,n->f", phase, ye)     # sum ye (cos - i sin)
     if e2 is None:
         return z1.real**2 + z1.imag**2
     sum_e2 = e2.sum()
-    rotation = np.exp(-0.5j * np.angle((phase * phase) @ e2))
+    rotation = np.exp(-0.5j * np.angle(np.einsum("fn,n->f", phase * phase,
+                                                 e2)))
     z1 = z1 * rotation                       # the same, rotated
-    sin2 = ((phase * rotation[:, None]).imag**2) @ e2
+    sin2 = np.einsum("fn,n->f", (phase * rotation[:, None]).imag**2, e2)
     parallel = sin2 <= GRAM_RTOL * sum_e2
     return z1.real**2 / (sum_e2 - sin2) + np.where(
         parallel, 0.0, z1.imag**2 / np.where(parallel, 1.0, sin2))
