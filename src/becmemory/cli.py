@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         return code
     out = args.out or cfg.raw["output.path"]   # "" means unset
     if not out and table.report is None:
-        out = table.default_filename
+        out = f"{args.command}.csv"
     if out:
         try:
             write_table(out, args.command, __version__, cfg.raw,

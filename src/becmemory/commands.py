@@ -22,20 +22,10 @@ from .memory import (MemoryParams, NoiseModel, apply_detector_noise,
                      average_process_fidelity, damping_factor,
                      faraday_frequency, memory_mueller, rotation_angle,
                      s1_trace, sample_shots, sigma_alpha_from_noise)
-from .polarization import (BASIS_DA, BASIS_HV, BASIS_RL, PoincareVector,
-                           StokesVector, measure)
-from .tomography import (TomographyRecord, canonical_inputs,
+from .polarization import PoincareVector, StokesVector, measure, poincare
+from .tomography import (ANALYZERS, TomographyRecord, canonical_inputs,
                          extract_memory_params, process_tomography,
                          state_tomography)
-
-PROBE_INPUT_LABELS = ("H", "D", "R", "L")
-PROBE_INPUT_AXES = {
-    "H": PoincareVector(1.0, 0.0, 0.0),
-    "D": PoincareVector(0.0, 1.0, 0.0),
-    "R": PoincareVector(0.0, 0.0, 1.0),
-    "L": PoincareVector(0.0, 0.0, -1.0),
-}
-BASIS_BY_KEY = {"HV": BASIS_HV, "DA": BASIS_DA, "RL": BASIS_RL}
 
 
 @dataclass
@@ -46,7 +36,6 @@ class Table:
     rows: list[tuple]
     extra_metadata: list[str] = field(default_factory=list)
     report: str | None = None
-    default_filename: str = "output.csv"
 
 
 def _child_seed(cfg: RunConfig, *tags: int) -> np.random.SeedSequence:
@@ -58,7 +47,7 @@ def _rotation_delay(cfg: RunConfig) -> float:
     """Slow-light delay entering the rotation angle (0 unless enabled)."""
     if not cfg.raw["rotation.include_pulse_delay"]:
         return 0.0
-    medium = cfg.model_medium()
+    medium = cfg.model_medium
     return eit.pulse_delay(cfg.control.omega_c, eit.optical_depth(medium),
                            medium.gamma_total)
 
@@ -67,7 +56,7 @@ def _readings_for_state(s_out: StokesVector, rng, sigma: float,
                         background: float) -> dict:
     """Simulate the three analyzer settings on one output state."""
     readings = {}
-    for key, basis in BASIS_BY_KEY.items():
+    for key, basis in ANALYZERS.items():
         pair = np.array(measure(s_out, basis))
         if rng is not None:
             pair = apply_detector_noise(pair, rng, sigma, background)
@@ -87,11 +76,10 @@ def _tomography_once(cfg: RunConfig, t_store: float, eta: float,
     outputs = []
     measurements = []
     attenuation = cfg.attenuation_factor()
-    for k, label in enumerate(PROBE_INPUT_LABELS):
+    for k, (label, s_in) in enumerate(inputs.items()):
         if shots > 0:
-            stack = sample_shots(PROBE_INPUT_AXES[label], t_store, tau_d,
-                                 eta, noise, shots,
-                                 _child_seed(cfg, *rep_tags, k))
+            stack = sample_shots(poincare(s_in), t_store, tau_d, eta, noise,
+                                 shots, _child_seed(cfg, *rep_tags, k))
             s_out = StokesVector.from_array(stack.mean(axis=0) * attenuation)
         else:
             alpha = damping_factor(t_store,
@@ -100,13 +88,12 @@ def _tomography_once(cfg: RunConfig, t_store: float, eta: float,
                                  faraday_frequency(noise.mean_bz))
             m = memory_mueller(MemoryParams(eta, alpha, phi))
             s_out = StokesVector.from_array(
-                m.m @ inputs[label].as_array() * attenuation)
+                m.m @ s_in.as_array() * attenuation)
         readings = _readings_for_state(s_out, rng, sigma, background)
         outputs.append(state_tomography(readings).stokes)
-        for key in ("HV", "DA", "RL"):
+        for key in ANALYZERS:
             measurements.append((label, key) + readings[key])
-    record = TomographyRecord(tuple(inputs[lab] for lab in
-                                    PROBE_INPUT_LABELS), tuple(outputs))
+    record = TomographyRecord(tuple(inputs.values()), tuple(outputs))
     mueller = process_tomography(record)
     params, residual = extract_memory_params(mueller)
     return measurements, record, params, residual
@@ -134,7 +121,7 @@ def cmd_fig3(cfg: RunConfig) -> Table:
         rows.append((float(t), float(shot[1] / shot[0]), model))
     return Table(
         header=["t_store_us", "s1_over_s0_shot", "s1_over_s0_model"],
-        rows=rows, default_filename="fig3.csv")
+        rows=rows)
 
 
 def cmd_fig4(cfg: RunConfig) -> Table:
@@ -172,14 +159,14 @@ def cmd_fig4(cfg: RunConfig) -> Table:
         amp = fit.params["amplitude"]
         metadata.append(f"fit.{preset}.sigma_alpha_ms = {sig * 1e3:.6f}")
         metadata.append(f"fit.{preset}.amplitude = {amp:.6f}")
-        for t, a in zip(t_grid, alphas):
-            model = damping_factor(float(t), sigma_alpha)
-            fitted = amp * damping_factor(float(t), sig)
-            rows.append((preset, float(t) * 1e3, a, model, fitted))
+        model = damping_factor(t_grid, sigma_alpha)
+        fitted = amp * damping_factor(t_grid, sig)
+        rows += [(preset, float(t) * 1e3, a, float(m), float(f))
+                 for t, a, m, f in zip(t_grid, alphas, model, fitted)]
     return Table(
         header=["preset", "t_store_ms", "alpha_tomography", "alpha_model",
                 "alpha_fit"],
-        rows=rows, extra_metadata=metadata, default_filename="fig4.csv")
+        rows=rows, extra_metadata=metadata)
 
 
 def cmd_fig5(cfg: RunConfig) -> Table:
@@ -198,8 +185,7 @@ def cmd_fig5(cfg: RunConfig) -> Table:
         header=["t_store_ms", "eta_recoil_model", "eta_measured_fit"],
         rows=rows,
         extra_metadata=[f"sigma_eta_recoil_ms = {sigma_model * 1e3:.6f}",
-                        f"sigma_eta_fit_ms = {sigma_fit * 1e3:.6f}"],
-        default_filename="fig5.csv")
+                        f"sigma_eta_fit_ms = {sigma_fit * 1e3:.6f}"])
 
 
 def cmd_fig6(cfg: RunConfig) -> Table:
@@ -219,8 +205,7 @@ def cmd_fig6(cfg: RunConfig) -> Table:
     return Table(header=header, rows=rows,
                  extra_metadata=[f"thermal_decay_time_us = "
                                  f"{thermal * 1e6:.6f}",
-                                 f"sigma_bec_ms = {sigma_bec * 1e3:.6f}"],
-                 default_filename="fig6.csv")
+                                 f"sigma_bec_ms = {sigma_bec * 1e3:.6f}"])
 
 
 def cmd_fig7(cfg: RunConfig) -> Table:
@@ -228,7 +213,7 @@ def cmd_fig7(cfg: RunConfig) -> Table:
     n = cfg.raw["fig7.n_points"]
     lo = cfg.raw["fig7.omega_min_mhz"]
     hi = cfg.raw["fig7.omega_max_mhz"]
-    medium = cfg.model_medium()
+    medium = cfg.model_medium
     factor = cfg.attenuation_factor()
     omegas_mhz = np.linspace(lo, hi, n)
     omegas = 2.0 * math.pi * omegas_mhz * 1e6
@@ -240,7 +225,7 @@ def cmd_fig7(cfg: RunConfig) -> Table:
     return Table(
         header=["omega_c_mhz", "eta_comp", "eta_trans", "eta_total",
                 "eta_transverse_avg"],
-        rows=rows, default_filename="fig7.csv")
+        rows=rows)
 
 
 def cmd_fig8(cfg: RunConfig) -> Table:
@@ -249,7 +234,7 @@ def cmd_fig8(cfg: RunConfig) -> Table:
     span_res = cfg.raw["fig8.span_resonant_mhz"]
     span_det = cfg.raw["fig8.span_detuned_mhz"]
     delta_c_det = cfg.raw["fig8.delta_c_detuned_mhz"]
-    medium = cfg.model_medium()
+    medium = cfg.model_medium
     omega_c = cfg.control.omega_c
     gamma = medium.gamma_total
     chi0_value = eit.chi0(omega_c, medium, medium.peak_density)
@@ -272,8 +257,7 @@ def cmd_fig8(cfg: RunConfig) -> Table:
                 "re_chi_approx_detuned", "im_chi_approx_detuned"],
         rows=rows,
         extra_metadata=[f"chi0 = {chi0_value:.9f}",
-                        f"delta_c_detuned_mhz = {delta_c_det:g}"],
-        default_filename="fig8.csv")
+                        f"delta_c_detuned_mhz = {delta_c_det:g}"])
 
 
 def cmd_tomography(cfg: RunConfig) -> Table:
@@ -308,8 +292,7 @@ def cmd_tomography(cfg: RunConfig) -> Table:
         header=["repetition", "input", "basis", "i_plus", "i_minus", "eta",
                 "alpha", "phi_rad", "avg_fidelity", "residual",
                 "condition_number"],
-        rows=rows, extra_metadata=metadata,
-        default_filename="tomography.csv")
+        rows=rows, extra_metadata=metadata)
 
 
 def cmd_optimize(cfg: RunConfig) -> Table:
@@ -318,7 +301,7 @@ def cmd_optimize(cfg: RunConfig) -> Table:
     hi = cfg.raw["optimize.omega_max_mhz"]
     grid = cfg.raw["optimize.grid"]
     averaged = cfg.raw["optimize.averaged"]
-    medium = cfg.model_medium()
+    medium = cfg.model_medium
     waist = cfg.pulse.waist if averaged else None
     result = eff.optimize_eta(
         medium, cfg.pulse,
@@ -353,8 +336,7 @@ def cmd_optimize(cfg: RunConfig) -> Table:
         header=["omega_c_mhz", "t0_ns", "eta", "on_boundary", "d_p_on_axis",
                 "tau_d_ns", "transparency_width_mhz", "delay_ratio",
                 "sqrt_dp"],
-        rows=[row], report="\n".join(lines),
-        default_filename="optimize.csv")
+        rows=[row], report="\n".join(lines))
 
 
 COMMANDS = {

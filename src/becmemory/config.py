@@ -181,17 +181,11 @@ class RunConfig:
     typed, checked value of every key."""
 
     medium: MediumParams
+    model_medium: MediumParams   # medium rescaled to a dp_target > 0
     control: ControlField
     pulse: PulseParams
     noise: NoiseModel
     raw: dict
-
-    def model_medium(self) -> MediumParams:
-        """Medium used for figure generation, optionally depth-rescaled."""
-        dp_target = self.raw["medium.dp_target"]
-        if dp_target > 0:
-            return self.medium.rescaled_to_depth(dp_target)
-        return self.medium
 
     def attenuation_factor(self) -> float:
         """Overall detection-path transmission, 1.0 unless enabled."""
@@ -247,8 +241,16 @@ class RunConfig:
         except (ValueError, ZeroDivisionError) as exc:
             # a product of in-range keys can still underflow to 0
             raise ConfigError(str(exc)) from exc
-        return cls(medium=medium, control=control, pulse=pulse, noise=noise,
-                   raw=raw)
+        dp_target = raw["medium.dp_target"]
+        try:
+            model_medium = medium.rescaled_to_depth(dp_target) \
+                if dp_target > 0 else medium
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"cannot rescale the atom number to "
+                              f"medium.dp_target = {dp_target:g}: {exc}") \
+                from exc
+        return cls(medium=medium, model_medium=model_medium, control=control,
+                   pulse=pulse, noise=noise, raw=raw)
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None,

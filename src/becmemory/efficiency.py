@@ -19,6 +19,7 @@ from .constants import (BOLTZMANN, D1_WAVELENGTH, HBAR, RB87_MASS,
 from .eit import (CompressionCheck, ControlField, MediumParams,
                   check_compression_condition, optical_depth, pulse_delay,
                   transparency_width)
+from .memory import damping_factor
 from .numerics import erf, i0e, quad
 
 SQRT2 = math.sqrt(2.0)
@@ -140,9 +141,8 @@ def _radial_line(r, medium: MediumParams):
     The scaled radius r in [0, 1] labels the ellipse x = Rx r cos(phi),
     y = Ry r sin(phi), on which both are constant; r = 0 is the axis.
     """
-    rest = np.maximum(1.0 - np.asarray(r, float)**2, 0.0)
-    return optical_depth(medium) * rest**1.5, \
-        2.0 * medium.r_z * np.sqrt(rest) / SPEED_OF_LIGHT
+    x = medium.r_x * np.asarray(r, float)
+    return optical_depth(medium, x), medium.chord_length(x) / SPEED_OF_LIGHT
 
 
 def transverse_average_eta(omega_c, pulse: PulseParams, medium: MediumParams,
@@ -288,11 +288,8 @@ def recoil_sigma_eta(waist: float, lambda_c: float) -> float:
 
 
 def eta_decay(t_store, eta0: float, sigma_eta: float):
-    """Gaussian decay of the efficiency with storage time."""
-    if sigma_eta <= 0:
-        raise ValueError("sigma_eta must be > 0")
-    return eta0 * np.exp(-np.asarray(t_store, float)**2
-                         / (2.0 * sigma_eta**2))
+    """Efficiency eta0 exp(-t^2 / 2 sigma_eta^2) after storage time t."""
+    return eta0 * damping_factor(t_store, sigma_eta)
 
 
 def thermal_decay_time(temperature: float,
@@ -327,8 +324,5 @@ def bimodal_eta(t_store, condensate_fraction: float, sigma_bec: float,
     """
     if not 0.0 <= condensate_fraction <= 1.0:
         raise ValueError("condensate_fraction must lie in [0, 1]")
-    if sigma_bec <= 0 or thermal_time <= 0:
-        raise ValueError("decay times must be > 0")
-    t2 = np.asarray(t_store, float)**2
-    return condensate_fraction * np.exp(-t2 / (2.0 * sigma_bec**2)) \
-        + (1.0 - condensate_fraction) * np.exp(-t2 / (2.0 * thermal_time**2))
+    return condensate_fraction * damping_factor(t_store, sigma_bec) \
+        + (1.0 - condensate_fraction) * damping_factor(t_store, thermal_time)

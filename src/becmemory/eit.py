@@ -61,18 +61,20 @@ class MediumParams:
             - (np.asarray(y) / self.r_y)**2 - (np.asarray(z) / self.r_z)**2
         return self.peak_density * np.maximum(parabola, 0.0)
 
-    def chord_length(self, x: float = 0.0, y: float = 0.0) -> float:
-        """Length of the probe path through the cloud at offset (x, y)."""
-        rest = 1.0 - (x / self.r_x)**2 - (y / self.r_y)**2
-        if rest <= 0:
-            return 0.0
-        return 2.0 * self.r_z * math.sqrt(rest)
+    def _transverse_rest(self, x=0.0, y=0.0):
+        """1 - x^2/Rx^2 - y^2/Ry^2 at offset (x, y), clipped at 0 outside
+        the transverse ellipse; x and y broadcast."""
+        return np.maximum(1.0 - (x / self.r_x)**2 - (y / self.r_y)**2, 0.0)
+
+    def chord_length(self, x=0.0, y=0.0):
+        """Probe path length through the cloud at offset (x, y); broadcasts."""
+        return 2.0 * self.r_z * np.sqrt(self._transverse_rest(x, y))
 
     def rescaled_to_depth(self, dp_target: float) -> "MediumParams":
         """Copy with the atom number scaled so optical_depth(0, 0) == dp_target."""
         if dp_target <= 0:
             raise ValueError("dp_target must be > 0")
-        scale = dp_target / optical_depth(self)
+        scale = dp_target / float(optical_depth(self))
         return MediumParams(self.atom_number * scale, self.r_x, self.r_y,
                             self.r_z, self.gamma_total, self.branching_ratio,
                             self.lambda_p)
@@ -143,19 +145,17 @@ def susceptibility_approx(delta2, omega_c: float, chi0_value: float,
     return Susceptibility(chi0_value * slope, chi0_value * slope**2)
 
 
-def optical_depth(medium: MediumParams, x: float = 0.0,
-                  y: float = 0.0) -> float:
+def optical_depth(medium: MediumParams, x=0.0, y=0.0):
     """Optical depth of the probe line through the cloud at offset (x, y).
 
     Analytic z-integral of the Thomas-Fermi parabola:
     (Gamma_p/Gamma) sigma rho0 (4/3) R_z (1 - x^2/Rx^2 - y^2/Ry^2)^(3/2),
-    zero outside the transverse ellipse.
+    zero outside the transverse ellipse.  x and y broadcast.
     """
-    rest = 1.0 - (x / medium.r_x)**2 - (y / medium.r_y)**2
-    if rest <= 0:
-        return 0.0
+    # np.power, not **, so that a scalar offset takes an array's pow
     return medium.branching_ratio * medium.cross_section \
-        * medium.peak_density * (4.0 / 3.0) * medium.r_z * rest**1.5
+        * medium.peak_density * (4.0 / 3.0) * medium.r_z \
+        * np.power(medium._transverse_rest(x, y), 1.5)
 
 
 def pulse_delay(omega_c, d_p, gamma):

@@ -280,31 +280,21 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
     phi00 = float(init.get("phi0", math.atan2(b, a)))
     sigma_floor = 1e-9 * max(float(np.max(np.abs(data.x))), 1e-30)
 
-    if undamped:
-        def model(p, x):
-            amp, omega, phi0 = p
-            return amp * np.cos(omega * x - phi0)
+    def model(p, x):
+        # an undamped fit leaves sigma out of p; inf makes the envelope 1
+        amp, omega, phi0, sigma = (*p, math.inf)[:4]
+        return amp * np.exp(-x**2 / (2.0 * sigma**2)) \
+            * np.cos(omega * x - phi0)
 
-        result = _finish(("amplitude", "omega_f", "phi0"), data, model,
-                         [amp0, omega0, phi00],
-                         ([0.0, 0.0, -2.0 * math.pi],
-                          [np.inf, np.inf, 2.0 * math.pi]))
-    else:
-        def model(p, x):
-            amp, omega, phi0, sigma = p
-            return amp * np.exp(-x**2 / (2.0 * sigma**2)) \
-                * np.cos(omega * x - phi0)
-
-        result = _finish(("amplitude", "omega_f", "phi0", "sigma_alpha"),
-                         data, model, [amp0, omega0, phi00, sigma0],
-                         ([0.0, 0.0, -2.0 * math.pi, sigma_floor],
-                          [np.inf, np.inf, 2.0 * math.pi, np.inf]))
+    result = _finish(
+        ("amplitude", "omega_f", "phi0", "sigma_alpha")[:n_params], data,
+        model, [amp0, omega0, phi00, sigma0][:n_params],
+        ([0.0, 0.0, -2.0 * math.pi, sigma_floor][:n_params],
+         [np.inf, np.inf, 2.0 * math.pi, np.inf][:n_params]))
     params = dict(result.params)
     errors = dict(result.std_errors)
-    if "phi0" in params:
-        wrapped = math.remainder(params["phi0"], 2.0 * math.pi)
-        params["phi0"] = wrapped
-    if undamped and params:
+    params["phi0"] = math.remainder(params["phi0"], 2.0 * math.pi)
+    if undamped:
         params["sigma_alpha"] = math.inf
         if errors:
             errors["sigma_alpha"] = 0.0

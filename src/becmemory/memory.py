@@ -78,13 +78,15 @@ class NoiseModel:
         return cls(bz, NOISE_PRESETS[name], name)
 
 
-def faraday_frequency(bz: float) -> float:
-    """Angular Faraday rotation frequency of the Poincare vector, rad/s."""
+def faraday_frequency(bz):
+    """Angular Faraday rotation frequency of the Poincare vector, rad/s;
+    ``bz`` broadcasts."""
     return 2.0 * math.pi * MU_B_OVER_H * G_F * DELTA_MF * bz
 
 
-def rotation_angle(t_store: float, tau_d: float, omega_f: float) -> float:
-    """Total rotation angle during storage plus the slow-light delay."""
+def rotation_angle(t_store: float, tau_d: float, omega_f):
+    """Total rotation angle during storage plus the slow-light delay;
+    ``omega_f`` broadcasts."""
     if t_store < 0 or tau_d < 0:
         raise ValueError("t_store and tau_d must be >= 0")
     return omega_f * (t_store + tau_d)
@@ -117,15 +119,15 @@ def apply_mueller(m: MuellerMatrix, s_in: StokesVector,
     return out
 
 
-def damping_factor(t_store: float, sigma_alpha: float) -> float:
-    """Ensemble damping alpha = exp(-t^2 / 2 sigma_alpha^2)."""
+def damping_factor(t_store, sigma_alpha: float):
+    """Gaussian decay exp(-t^2 / 2 sigma_alpha^2), such as the damping alpha;
+    ``t_store`` broadcasts and sigma_alpha = inf gives 1."""
     if sigma_alpha <= 0:
-        raise ValueError("sigma_alpha must be > 0")
-    if t_store < 0:
+        raise ValueError("decay time must be > 0")
+    t_store = np.asarray(t_store, float)
+    if np.any(t_store < 0):
         raise ValueError("t_store must be >= 0")
-    if math.isinf(sigma_alpha):
-        return 1.0
-    return math.exp(-t_store**2 / (2.0 * sigma_alpha**2))
+    return np.exp(-t_store**2 / (2.0 * sigma_alpha**2))[()]
 
 
 def sigma_alpha_from_noise(sigma_b: float) -> float:
@@ -166,7 +168,7 @@ def sample_shots(u_in: PoincareVector, t_store: float, tau_d: float,
         raise ValueError("input state must be pure (unit Poincare vector)")
     rng = np.random.default_rng(seed)
     bz = rng.normal(noise.mean_bz, noise.sigma_b, n)
-    phi = faraday_frequency(1.0) * bz * (t_store + tau_d)
+    phi = rotation_angle(t_store, tau_d, faraday_frequency(bz))
     c, s = np.cos(phi), np.sin(phi)
     out = np.empty((n, 4))
     out[:, 0] = eta

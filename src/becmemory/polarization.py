@@ -76,22 +76,10 @@ class MeasurementBasis:
         if abs(self.axis.norm - 1.0) > 1e-9:
             raise ValueError("measurement axis must be a unit Poincare vector")
 
-    @classmethod
-    def hv(cls) -> "MeasurementBasis":
-        return cls(PoincareVector(1.0, 0.0, 0.0))
 
-    @classmethod
-    def da(cls) -> "MeasurementBasis":
-        return cls(PoincareVector(0.0, 1.0, 0.0))
-
-    @classmethod
-    def rl(cls) -> "MeasurementBasis":
-        return cls(PoincareVector(0.0, 0.0, 1.0))
-
-
-BASIS_HV = MeasurementBasis.hv()
-BASIS_DA = MeasurementBasis.da()
-BASIS_RL = MeasurementBasis.rl()
+BASIS_HV = MeasurementBasis(PoincareVector(1.0, 0.0, 0.0))
+BASIS_DA = MeasurementBasis(PoincareVector(0.0, 1.0, 0.0))
+BASIS_RL = MeasurementBasis(PoincareVector(0.0, 0.0, 1.0))
 
 
 def clamp_physical(s: StokesVector, tol: float = DOP_TOLERANCE) -> StokesVector:

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .memory import MemoryParams, MuellerMatrix, memory_mueller
-from .polarization import StokesVector, stokes_from_intensities
+from .polarization import (BASIS_DA, BASIS_HV, BASIS_RL, StokesVector,
+                           stokes_from_intensities)
 
-# Basis keys expected in a set of state-tomography readings.
-BASIS_KEYS = ("HV", "DA", "RL")
+# The three analyzer settings, by the key of their state-tomography readings.
+ANALYZERS = {"HV": BASIS_HV, "DA": BASIS_DA, "RL": BASIS_RL}
 
 CONDITION_LIMIT = 1e8
 
@@ -78,10 +79,10 @@ def state_tomography(
     redundant total intensities are compared; disagreement beyond
     ``S0_TOLERANCE`` (relative) only flags the result, it does not raise.
     """
-    missing = [k for k in BASIS_KEYS if k not in readings]
+    missing = [k for k in ANALYZERS if k not in readings]
     if missing:
         raise ValueError(f"missing basis settings: {missing}")
-    (i_h, i_v), (i_d, i_a), (i_r, i_l) = (readings[k] for k in BASIS_KEYS)
+    (i_h, i_v), (i_d, i_a), (i_r, i_l) = (readings[k] for k in ANALYZERS)
     s = stokes_from_intensities(i_h, i_v, i_d, i_a, i_r, i_l)
     sums = np.array([i_h + i_v, i_d + i_a, i_r + i_l])
     mean = sums.mean()

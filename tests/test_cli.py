@@ -101,10 +101,10 @@ class TestRunConfig:
 
     def test_dp_target_rescaling(self, cfg):
         from becmemory.eit import optical_depth
-        assert optical_depth(cfg.model_medium()) == pytest.approx(127.0,
-                                                                  rel=1e-12)
+        assert optical_depth(cfg.model_medium) == pytest.approx(127.0,
+                                                                rel=1e-12)
         raw = RunConfig.from_mapping({"medium.dp_target": 0.0})
-        assert optical_depth(raw.model_medium()) == pytest.approx(
+        assert optical_depth(raw.model_medium) == pytest.approx(
             137.2232594818897, rel=1e-12)
 
     def test_attenuation_factor(self):
@@ -188,6 +188,10 @@ class TestCommandLine:
                      ["fig5", "--set", "fig5.t_max_ms=inf"]):
             assert main(argv) == 2, argv
             assert "config error" in capsys.readouterr().err, argv
+        # a depth target no finite atom number reaches: one line, naming it
+        assert main(["fig7", "--set", "medium.radius_x_um=1e-300"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "rescale" in lines[0], lines
 
     def test_missing_config_file(self):
         assert main(["fig3", "--config", "/nonexistent/run.cfg"]) == 2
@@ -463,11 +467,12 @@ class TestCommandLine:
                      "--set", "output.path=z.csv"]) == 0
         assert (tmp_path / "y.csv").exists()
         assert not (tmp_path / "z.csv").exists()
-        # neither: the command's default file, or none for a report
-        assert main(["fig5"]) == 0
-        assert main(["optimize", "--set", "optimize.grid=24"]) == 0
+        # neither: <command>.csv, or no file for optimize's report
+        for command, fast in FAST_OVERRIDES.items():
+            assert main([command, *fast]) == 0, command
+        written = [f"{c}.csv" for c in FAST_OVERRIDES if c != "optimize"]
         assert sorted(p.name for p in tmp_path.iterdir()) \
-            == ["fig5.csv", "x.csv", "y.csv"]
+            == sorted(written + ["x.csv", "y.csv"])
 
     @pytest.mark.parametrize("argv", [["fig5", "--set", "fig5.n_points=5"],
                                       ["optimize", "--set", "optimize.grid=8"]])

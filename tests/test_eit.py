@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from becmemory.constants import SPEED_OF_LIGHT
@@ -15,11 +17,15 @@ TWO_PI = 2.0 * math.pi
 GAMMA = 1.0 / 26e-9
 
 
-@pytest.fixture
-def medium() -> MediumParams:
+def reference_medium() -> MediumParams:
     return MediumParams(atom_number=1.2e6, r_x=7e-6, r_y=25e-6, r_z=25e-6,
                         gamma_total=GAMMA, branching_ratio=1.0 / 12.0,
                         lambda_p=795e-9)
+
+
+@pytest.fixture
+def medium() -> MediumParams:
+    return reference_medium()
 
 
 class TestMediumParams:
@@ -83,6 +89,25 @@ class TestOpticalDepth:
         expected = medium.branching_ratio * medium.cross_section * rho_int
         assert optical_depth(medium, x, y) == pytest.approx(expected,
                                                             rel=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                    min_size=1, max_size=20))
+    def test_line_geometry_broadcasts_like_scalar_calls(self, offsets):
+        # offsets in units of (Rx, Ry), inside and outside the ellipse
+        medium = reference_medium()
+        x = medium.r_x * np.array([u for u, _ in offsets])
+        y = medium.r_y * np.array([v for _, v in offsets])
+        depth = optical_depth(medium, x, y)
+        chord = medium.chord_length(x, y)
+        assert depth.shape == chord.shape == x.shape
+        for i in range(x.size):
+            xi, yi = float(x[i]), float(y[i])
+            assert depth[i] == optical_depth(medium, xi, yi)
+            assert chord[i] == medium.chord_length(xi, yi)
+        outside = (x / medium.r_x)**2 + (y / medium.r_y)**2 >= 1.0
+        assert np.all(depth[outside] == 0.0)
+        assert np.all(chord[outside] == 0.0)
 
 
 class TestGroupIndexAndVelocity:

@@ -151,6 +151,21 @@ class TestDamping:
         with pytest.raises(ValueError):
             damping_factor(1.0, 0.0)
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            damping_factor(np.array([0.0, 1e-3, -1e-9]), 1e-3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(0.0, 5e-3), min_size=1, max_size=20),
+           st.one_of(st.floats(1e-6, 1e-2), st.just(math.inf)))
+    def test_broadcasts_like_scalar_calls(self, times, sigma):
+        alpha = damping_factor(np.array(times), sigma)
+        assert alpha.shape == (len(times),)
+        for t, a in zip(times, alpha):
+            assert a == damping_factor(t, sigma)
+        if math.isinf(sigma):
+            assert np.all(alpha == 1.0)
+
 
 class TestSigmaAlphaFromNoise:
     def test_unsynchronized(self):

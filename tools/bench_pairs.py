@@ -11,7 +11,9 @@ alone), and ``python3 perfbench/run.py`` runs from each clone's root with
 identical arguments.  The run length is the benchmark's ``run_seconds``
 (``BENCHMARK.json`` at the repository root).  Pair ``i`` uses seed
 ``--seed + i`` on both sides; the parent runs first in even pairs and the
-change in odd ones.
+change in odd ones.  ``--workload`` may be repeated: each pair then runs
+every workload in turn, so that the runs of the workloads interleave and a
+slow phase of the host falls on all of them alike.
 
 The output file is appended to, one JSON object per line: for every run a
 ``bench_pairs`` line naming the side, revision, pair, arguments and exit
@@ -49,7 +51,7 @@ def main(argv=None):
     parser.add_argument("change")
     parser.add_argument("--out", required=True, type=Path,
                         help="JSON-lines file to append to")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of pair 0; pair i uses seed + i")
@@ -66,21 +68,22 @@ def main(argv=None):
         trees = {side: checkout(repo, rev, Path(tmp) / side)
                  for side, rev in revs.items()}
         for pair in range(args.pairs):
-            bench_args = ["--workload", args.workload,
-                          "--seed", str(args.seed + pair),
-                          "--seconds", str(seconds),
-                          "--trace", str(args.trace)]
             order = ("parent", "change") if pair % 2 == 0 \
                 else ("change", "parent")
-            for side in order:
-                proc = subprocess.run(RUN + bench_args, cwd=trees[side],
-                                      stdout=subprocess.PIPE, text=True)
-                header = {"bench_pairs": {
-                    "side": side, "rev": revs[side], "pair": pair,
-                    "args": bench_args, "exit": proc.returncode}}
-                lines = [json.dumps(header), *proc.stdout.splitlines()]
-                with open(out, "a", encoding="utf-8") as fh:
-                    fh.write("\n".join(lines) + "\n")
+            for workload in args.workload:
+                bench_args = ["--workload", workload,
+                              "--seed", str(args.seed + pair),
+                              "--seconds", str(seconds),
+                              "--trace", str(args.trace)]
+                for side in order:
+                    proc = subprocess.run(RUN + bench_args, cwd=trees[side],
+                                          stdout=subprocess.PIPE, text=True)
+                    header = {"bench_pairs": {
+                        "side": side, "rev": revs[side], "pair": pair,
+                        "args": bench_args, "exit": proc.returncode}}
+                    lines = [json.dumps(header), *proc.stdout.splitlines()]
+                    with open(out, "a", encoding="utf-8") as fh:
+                        fh.write("\n".join(lines) + "\n")
     return 0
 
 
