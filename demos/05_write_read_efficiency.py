@@ -34,7 +34,7 @@ for mhz in (8, 12, 15, 20, 30, 45):
 
 # Locate the peak of the transverse-averaged curve at the reference
 # switch-off time by a 1-D optimization (degenerate t0 bounds).
-pinned = optimize_eta(medium, pulse, waist=pulse.waist,
+pinned = optimize_eta(medium, pulse, averaged=True,
                       omega_bounds=(TWO_PI * 5e6, TWO_PI * 60e6),
                       t0_bounds=(230e-9, 230e-9), grid_shape=(120, 1))
 print(f"\naveraged curve at t0 = 230 ns peaks at "
@@ -42,7 +42,7 @@ print(f"\naveraged curve at t0 = 230 ns peaks at "
       f"{pinned.omega_c / TWO_PI / 1e6:.1f} MHz")
 
 # The full 2-D optimization over (Omega_c, t0) does slightly better.
-free = optimize_eta(medium, pulse, waist=pulse.waist,
+free = optimize_eta(medium, pulse, averaged=True,
                     omega_bounds=(TWO_PI * 5e6, TWO_PI * 60e6),
                     t0_bounds=(0.0, 1e-6), grid_shape=(100, 100))
 print(f"free optimum: eta = {free.eta:.3f} at Omega_c = 2 pi x "
@@ -53,7 +53,7 @@ print(f"free optimum: eta = {free.eta:.3f} at Omega_c = 2 pi x "
 # t0 -> s t0 at unchanged efficiency (vacuum transit neglected).
 s = 2.0
 wide = PulseParams(tau_p=s * pulse.tau_p, t0=pulse.t0, waist=pulse.waist)
-scaled = optimize_eta(medium, wide, waist=pulse.waist,
+scaled = optimize_eta(medium, wide, averaged=True,
                       omega_bounds=(TWO_PI * 5e6 / math.sqrt(s),
                                     TWO_PI * 60e6 / math.sqrt(s)),
                       t0_bounds=(0.0, s * 1e-6), grid_shape=(100, 100),

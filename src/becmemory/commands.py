@@ -57,9 +57,8 @@ def _readings_for_state(s_out: StokesVector, rng, sigma: float,
     """Simulate the three analyzer settings on one output state."""
     readings = {}
     for key, basis in ANALYZERS.items():
-        pair = np.array(measure(s_out, basis))
-        if rng is not None:
-            pair = apply_detector_noise(pair, rng, sigma, background)
+        pair = apply_detector_noise(measure(s_out, basis), rng, sigma,
+                                    background)
         readings[key] = (float(pair[0]), float(pair[1]))
     return readings
 
@@ -71,8 +70,7 @@ def _tomography_once(cfg: RunConfig, t_store: float, eta: float,
     inputs = canonical_inputs()
     sigma = cfg.raw["detector.relative_sigma"]
     background = cfg.raw["detector.background"]
-    rng = np.random.default_rng(_child_seed(cfg, *rep_tags, 7)) \
-        if sigma > 0 or background != 0.0 else None
+    rng = np.random.default_rng(_child_seed(cfg, *rep_tags, 7))
     outputs = []
     measurements = []
     attenuation = cfg.attenuation_factor()
@@ -302,11 +300,10 @@ def cmd_optimize(cfg: RunConfig) -> Table:
     grid = cfg.raw["optimize.grid"]
     averaged = cfg.raw["optimize.averaged"]
     medium = cfg.model_medium
-    waist = cfg.pulse.waist if averaged else None
     result = eff.optimize_eta(
         medium, cfg.pulse,
         omega_bounds=(2.0 * math.pi * lo * 1e6, 2.0 * math.pi * hi * 1e6),
-        waist=waist, grid_shape=(grid, grid))
+        averaged=averaged, grid_shape=(grid, grid))
     d_p = eit.optical_depth(medium)
     gamma = medium.gamma_total
     tau_d = eit.pulse_delay(result.omega_c, d_p, gamma)

@@ -26,6 +26,7 @@ class ConfigError(Exception):
 POSITIVE = ("> 0", lambda v: v > 0)
 NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
+POSITIVE_FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
 
 
 def _at_least(n: int):
@@ -58,8 +59,7 @@ SCHEMA = {
     "medium.radius_y_um": (25.0, POSITIVE),
     "medium.radius_z_um": (25.0, POSITIVE),
     "medium.gamma_inv_ns": (26.0, POSITIVE),    # lifetime 1/Gamma
-    "medium.branching_ratio": (1.0 / 12.0, ("in (0, 1]",
-                                            lambda v: 0 < v <= 1)),
+    "medium.branching_ratio": (1.0 / 12.0, POSITIVE_FRACTION),
     "medium.lambda_p_nm": (795.0, POSITIVE),
     # >0: rescale the atom number so the on-axis optical depth hits this
     # value before generating figures; <= 0 disables the rescaling.
@@ -82,10 +82,10 @@ SCHEMA = {
     "rotation.include_pulse_delay": (False, None),
     # recorded detection-path transmissions, applied only when enabled
     "attenuation.enabled": (False, None),
-    "attenuation.fiber": (0.66, None),
-    "attenuation.mode_resonant": (0.88, None),
-    "attenuation.mode_detuned": (0.80, None),
-    "attenuation.cavity": (0.8, None),
+    "attenuation.fiber": (0.66, FRACTION),
+    "attenuation.mode_resonant": (0.88, FRACTION),
+    "attenuation.mode_detuned": (0.80, FRACTION),
+    "attenuation.cavity": (0.8, FRACTION),
     "storage.t_store_us": (1.0, NON_NEGATIVE),
     "seed": (12345, NON_NEGATIVE),
     "output.path": ("", None),
@@ -99,7 +99,7 @@ SCHEMA = {
     "fig4.t_max_sigma_factor": (2.2, POSITIVE),
     "fig5.t_max_ms": (1.5, POSITIVE),
     "fig5.n_points": (121, _at_least(2)),
-    "fig5.eta0": (1.0, None),
+    "fig5.eta0": (1.0, FRACTION),
     "fig5.sigma_eta_fit_ms": (0.48, POSITIVE),
     "fig6.t_max_ms": (0.15, POSITIVE),
     "fig6.n_points": (121, _at_least(2)),
@@ -112,7 +112,7 @@ SCHEMA = {
     "fig8.span_detuned_mhz": (2.0, POSITIVE),
     "fig8.delta_c_detuned_mhz": (70.0, None),
     "fig8.n_points": (601, _at_least(3)),
-    "tomography.eta0": (0.5, FRACTION),
+    "tomography.eta0": (0.5, POSITIVE_FRACTION),
     "tomography.repeats": (1, _at_least(1)),
     "tomography.shots": (0, NON_NEGATIVE),      # 0: ensemble-exact states
     "optimize.omega_min_mhz": (1.0, POSITIVE),

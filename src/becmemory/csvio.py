@@ -16,8 +16,9 @@ def format_value(value) -> str:
     return str(value)
 
 
-def render_table(command: str, version: str, config_map: dict,
-                 header: list[str], rows, extra_metadata=()) -> str:
+def write_table(path: str, command: str, version: str, config_map: dict,
+                header: list[str], rows, extra_metadata=()) -> str:
+    """Write one table and its metadata lines to ``path``; returns path."""
     buf = io.StringIO()
     buf.write(f"# artifact = becmemory {version}\n")
     buf.write(f"# command = {command}\n")
@@ -29,45 +30,6 @@ def render_table(command: str, version: str, config_map: dict,
     buf.write(",".join(header) + "\n")
     for row in rows:
         buf.write(",".join(format_value(v) for v in row) + "\n")
-    return buf.getvalue()
-
-
-def write_table(path: str, command: str, version: str, config_map: dict,
-                header: list[str], rows, extra_metadata=()) -> str:
-    text = render_table(command, version, config_map, header, rows,
-                        extra_metadata)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(buf.getvalue())
     return path
-
-
-def read_table(path: str):
-    """Parse a table written by write_table.
-
-    Returns (metadata, header, rows): the '#' lines without their prefix,
-    the column names, and the data rows as lists of strings.
-    """
-    metadata: list[str] = []
-    header: list[str] | None = None
-    rows: list[list[str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                metadata.append(line[1:].strip())
-            elif header is None:
-                header = line.split(",")
-            else:
-                rows.append(line.split(","))
-    if header is None:
-        raise ValueError(f"no header row found in {path!r}")
-    return metadata, header, rows
-
-
-def column(header: list[str], rows: list[list[str]], name: str,
-           convert=float) -> list:
-    """Extract one column by name from read_table output."""
-    idx = header.index(name)
-    return [convert(row[idx]) for row in rows]

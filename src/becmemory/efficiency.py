@@ -16,9 +16,8 @@ import numpy as np
 
 from .constants import (BOLTZMANN, D1_WAVELENGTH, HBAR, RB87_MASS,
                         SPEED_OF_LIGHT)
-from .eit import (CompressionCheck, ControlField, MediumParams,
-                  check_compression_condition, optical_depth, pulse_delay,
-                  transparency_width)
+from .eit import (CompressionCheck, MediumParams, check_compression_condition,
+                  optical_depth, pulse_delay, transparency_width)
 from .memory import damping_factor
 from .numerics import erf, i0e, quad
 
@@ -69,7 +68,9 @@ def eta_trans(tau_p, delta_omega_trans):
     """Pulse energy fraction transmitted through the Gaussian EIT window."""
     if np.any(tau_p <= 0) or np.any(delta_omega_trans <= 0):
         raise ValueError("tau_p and delta_omega_trans must be > 0")
-    return (1.0 + 2.0 / (tau_p * delta_omega_trans)**2)**-0.5
+    # np.power, not **: numpy's scalar power can differ in the last bit
+    # from its array loop, and a scalar call must match the array's element
+    return np.power(1.0 + 2.0 / (tau_p * delta_omega_trans)**2, -0.5)
 
 
 def _factors(d_p, omega_c, t0, tau_p: float, gamma: float, transit=0.0):
@@ -101,12 +102,10 @@ def eta_total(omega_c, pulse: PulseParams, medium: MediumParams,
               include_transit: bool = True) -> EfficiencyResult:
     """Single-cycle efficiency for the probe line through (x, y).
 
-    ``omega_c`` may be a plain Rabi frequency in rad/s, an array of them
-    (every field then has its shape) or a ControlField.  Outside the cloud
-    the efficiency is zero by definition.
+    ``omega_c`` is a Rabi frequency in rad/s or an array of them (every
+    field then has its shape).  Outside the cloud the efficiency is zero by
+    definition.
     """
-    if isinstance(omega_c, ControlField):
-        omega_c = omega_c.omega_c
     d_p = optical_depth(medium, x, y)
     transit = medium.chord_length(x, y) / SPEED_OF_LIGHT if include_transit \
         else 0.0
@@ -145,27 +144,22 @@ def _radial_line(r, medium: MediumParams):
     return optical_depth(medium, x), medium.chord_length(x) / SPEED_OF_LIGHT
 
 
-def transverse_average_eta(omega_c, pulse: PulseParams, medium: MediumParams,
-                           waist: float | None = None):
+def transverse_average_eta(omega_c, pulse: PulseParams, medium: MediumParams):
     """Efficiency averaged over the transverse probe intensity profile.
 
     ``omega_c`` is a Rabi frequency or an array of them; the result has its
     shape.  The weighted average reduces to a single radial integral after
     the analytic angular reduction, evaluated with adaptive quadrature for
-    all Rabi frequencies at once.  The probe weight falling outside the
-    cloud contributes zero efficiency.
+    all Rabi frequencies at once; the beam has the pulse's waist.  The probe
+    weight falling outside the cloud contributes zero efficiency.
     """
-    if isinstance(omega_c, ControlField):
-        omega_c = omega_c.omega_c
-    w = pulse.waist if waist is None else waist
-    if w <= 0:
-        raise ValueError("waist must be > 0")
     omega_c = np.asarray(omega_c, float)[..., None]   # radial nodes last
 
     def integrand(r):
         d_p, transit = _radial_line(r, medium)
-        return _radial_weight(r, medium.r_x, medium.r_y, w) * _eta_on_depth(
-            d_p, omega_c, pulse.t0, pulse.tau_p, medium.gamma_total, transit)
+        return _radial_weight(r, medium.r_x, medium.r_y, pulse.waist) \
+            * _eta_on_depth(d_p, omega_c, pulse.t0, pulse.tau_p,
+                            medium.gamma_total, transit)
 
     value, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10,
                     limit=200)
@@ -191,18 +185,18 @@ BLOCK_CELLS = 2**17  # most (Omega_c, t0, node) cells per objective block
 def optimize_eta(medium: MediumParams, pulse: PulseParams,
                  omega_bounds: tuple[float, float] = DEFAULT_OMEGA_BOUNDS,
                  t0_bounds: tuple[float, float] | None = None,
-                 waist: float | None = None,
+                 averaged: bool = False,
                  grid_shape: tuple[int, int] = (200, 200),
                  include_transit: bool = True) -> OptimizeEtaResult:
     """Maximize the efficiency over control Rabi frequency and switch-off time.
 
     A log-linear grid search (log in omega_c, linear in t0) locates the
     basin; a deterministic shrinking-stencil refinement then resolves the
-    optimum to better than REFINE_TOL relative in eta.  With ``waist`` set,
-    the transverse-averaged efficiency is optimized on N_RADIAL
-    Gauss-Legendre nodes of the radial line; otherwise the on-axis value,
-    the same objective on the single node r = 0.  The default t0 range is
-    [0, 5 tau_p + tau_d(omega_min)] at the on-axis depth.
+    optimum to better than REFINE_TOL relative in eta.  With ``averaged``
+    the efficiency averaged over the pulse's beam profile is optimized on
+    N_RADIAL Gauss-Legendre nodes of the radial line; otherwise the on-axis
+    value, the same objective on the single node r = 0.  The default t0
+    range is [0, 5 tau_p + tau_d(omega_min)] at the on-axis depth.
 
     A maximum sitting on the search boundary is flagged.
     """
@@ -216,13 +210,13 @@ def optimize_eta(medium: MediumParams, pulse: PulseParams,
     if t0_hi < t0_lo:
         raise ValueError("invalid t0 bounds")
 
-    if waist is None:
-        r, weights = np.zeros(1), np.ones(1)
-    else:
+    if averaged:
         nodes, gl_weights = np.polynomial.legendre.leggauss(N_RADIAL)
         r = 0.5 * (nodes + 1.0)
         weights = 0.5 * gl_weights * _radial_weight(r, medium.r_x,
-                                                    medium.r_y, waist)
+                                                    medium.r_y, pulse.waist)
+    else:
+        r, weights = np.zeros(1), np.ones(1)
     d_p, transit = _radial_line(r, medium)
     if not include_transit:
         transit = 0.0

@@ -101,11 +101,11 @@ ZOOM_XTOL = 1e-7
 GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-def _explained(freqs, x, ye, e2=None):
+def _explained(freqs, x, ye, e2):
     """Variance of ``ye`` explained by a sinusoid at each trial frequency.
 
-    With the squared envelope ``e2`` the amplitude and phase are profiled
-    out.  Each frequency's cos and sin columns are first rotated by the
+    The amplitude and phase are profiled out under the squared envelope
+    ``e2``.  Each frequency's cos and sin columns are first rotated by the
     Lomb-Scargle offset (Scargle, ApJ 263, 835, 1982), which makes them
     orthogonal under the weights e2, so the variance is the sum of two
     one-column projections.  The smaller principal value, sum e2 sin^2 of
@@ -115,11 +115,8 @@ def _explained(freqs, x, ye, e2=None):
     Nyquist frequency, where the sine column vanishes.  Where that value
     is at most ``GRAM_RTOL`` of sum e2 the columns are parallel, and only
     the projection onto the cosine axis is kept.
-
-    Without ``e2`` this is the diagonal-Gram power
-    |sum ye exp(-2 pi i f x)|^2.
     """
-    # Both values are unchanged by a shift of x; centring it keeps the
+    # The value is unchanged by a shift of x; centring it keeps the
     # phases, and their rounding errors, small.
     x = x - 0.5 * (x.min() + x.max())
     phase = np.exp(-2j * math.pi * freqs[:, None] * x)
@@ -128,8 +125,6 @@ def _explained(freqs, x, ye, e2=None):
     # worker threads, which then spin on a second core between calls and
     # make the fit's speed depend on whatever else runs on the machine.
     z1 = np.einsum("fn,n->f", phase, ye)     # sum ye (cos - i sin)
-    if e2 is None:
-        return z1.real**2 + z1.imag**2
     sum_e2 = e2.sum()
     rotation = np.exp(-0.5j * np.angle(np.einsum("fn,n->f", phase * phase,
                                                  e2)))
@@ -210,7 +205,7 @@ def _zoom(x, ye, e2, best, step):
     return inner[0] if vals[0] >= vals[1] else inner[1]
 
 
-def _dominant_frequency(x, y, envelope=None) -> float:
+def _dominant_frequency(x, y, envelope) -> float:
     """Angular frequency maximizing the explained variance of an
     envelope-weighted sinusoid.
 
@@ -230,10 +225,10 @@ def _dominant_frequency(x, y, envelope=None) -> float:
     span = x.max() - x.min()
     if span <= 0:
         return 0.0
-    env = np.ones_like(x) if envelope is None else envelope
-    ye = (y - y.mean()) * env
+    ye = (y - y.mean()) * envelope
     best = _coarse_scan(x, ye, span)
-    return 2.0 * math.pi * float(_zoom(x, ye, env**2, best, 0.25 / span))
+    return 2.0 * math.pi * float(_zoom(x, ye, envelope**2, best,
+                                       0.25 / span))
 
 
 def _second_moment_width(x, y) -> float:

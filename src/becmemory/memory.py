@@ -105,15 +105,14 @@ def memory_mueller(params: MemoryParams) -> MuellerMatrix:
     ]))
 
 
-def apply_mueller(m: MuellerMatrix, s_in: StokesVector,
-                  check: bool = True) -> StokesVector:
+def apply_mueller(m: MuellerMatrix, s_in: StokesVector) -> StokesVector:
     """Apply a Mueller matrix to a Stokes vector.
 
-    With ``check`` the output is tested against the Stokes invariants and a
-    warning is issued if it violates them (an unphysical matrix).
+    The output is tested against the Stokes invariants and a warning is
+    issued if it violates them (an unphysical matrix).
     """
     out = StokesVector.from_array(m.m @ s_in.as_array())
-    if check and not out.is_physical(tol=1e-9):
+    if not out.is_physical(tol=1e-9):
         warnings.warn("Mueller matrix produced an unphysical Stokes vector",
                       stacklevel=2)
     return out

@@ -22,3 +22,35 @@ def random_physical_stokes(rng, n):
     dop = rng.uniform(0.0, 1.0, n)
     vec = direction * (dop * s0)[:, None]
     return np.column_stack([s0, vec])
+
+
+def read_table(path: str):
+    """Parse a CSV table the CLI wrote.
+
+    Returns (metadata, header, rows): the '#' lines without their prefix,
+    the column names, and the data rows as lists of strings.
+    """
+    metadata: list[str] = []
+    header: list[str] | None = None
+    rows: list[list[str]] = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                metadata.append(line[1:].strip())
+            elif header is None:
+                header = line.split(",")
+            else:
+                rows.append(line.split(","))
+    if header is None:
+        raise ValueError(f"no header row found in {path!r}")
+    return metadata, header, rows
+
+
+def column(header: list[str], rows: list[list[str]], name: str,
+           convert=float) -> list:
+    """Extract one column by name from read_table output."""
+    idx = header.index(name)
+    return [convert(row[idx]) for row in rows]

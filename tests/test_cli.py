@@ -12,7 +12,7 @@ from becmemory.cli import main
 from becmemory.config import (SCHEMA, ConfigError, RunConfig,
                               build_mapping, load_config, parse_config_text,
                               parse_float_list, parse_value)
-from becmemory.csvio import column, read_table
+from conftest import column, read_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,6 +182,13 @@ class TestCommandLine:
                      ["fig6", "--set", "fig6.temperature_uk=0"],
                      ["fig5", "--set", "fig5.sigma_eta_fit_ms=0"],
                      ["tomography", "--set", "tomography.eta0=1.5"],
+                     ["tomography", "--set", "tomography.eta0=0"],
+                     ["fig5", "--set", "fig5.eta0=-2"],
+                     ["fig7", "--set", "attenuation.enabled=true",
+                      "--set", "attenuation.fiber=-3"],
+                     ["fig5", "--set", "attenuation.mode_resonant=1.5"],
+                     ["fig5", "--set", "attenuation.mode_detuned=-0.1"],
+                     ["fig5", "--set", "attenuation.cavity=2"],
                      ["fig3", "--seed", "-1"],
                      ["optimize", "--set", "pulse.tau_p_ns=nan"],
                      ["fig8", "--set", "medium.dp_target=inf"],

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from becmemory.efficiency import (REFINE_TOL, PulseParams, _eta_on_depth,
                                   eta_decay, eta_total, eta_trans,
                                   optimize_eta, recoil_sigma_eta,
                                   thermal_decay_time, transverse_average_eta)
-from becmemory.eit import MediumParams, optical_depth, pulse_delay
+from becmemory.eit import (MediumParams, optical_depth, pulse_delay,
+                           transparency_width)
 
 TWO_PI = 2.0 * math.pi
 GAMMA = 1.0 / 26e-9
@@ -146,12 +148,27 @@ class TestEtaTotal:
                         medium, include_transit=False).eta_total
                     assert abs(mapped - ref) <= 1e-9
 
+    def test_scalar_calls_match_the_array_call(self, cfg):
+        # on fig7's default grid a scalar Rabi frequency gives the same bits
+        # as its element of the array call
+        omegas = TWO_PI * np.linspace(5.0, 60.0, 221) * 1e6
+        medium = cfg.model_medium
+        array = eta_total(omegas, cfg.pulse, medium)
+        widths = transparency_width(omegas, medium.gamma_total,
+                                    optical_depth(medium))
+        trans = eta_trans(cfg.pulse.tau_p, widths)
+        for k, om in enumerate(omegas):
+            scalar = eta_total(float(om), cfg.pulse, medium)
+            assert scalar.eta_total == array.eta_total[k], k
+            assert scalar.eta_trans == array.eta_trans[k], k
+            assert eta_trans(cfg.pulse.tau_p, float(widths[k])) == trans[k], k
+
 
 class TestTransverseAverage:
     def test_narrow_beam_limit(self, medium, pulse):
         on_axis = eta_total(TWO_PI * 15e6, pulse, medium).eta_total
-        avg = transverse_average_eta(TWO_PI * 15e6, pulse, medium,
-                                     waist=0.5e-6)
+        avg = transverse_average_eta(TWO_PI * 15e6,
+                                     replace(pulse, waist=0.5e-6), medium)
         assert avg == pytest.approx(on_axis, rel=5e-3)
 
     def test_reference_point(self, medium, pulse):
@@ -165,7 +182,7 @@ class TestTransverseAverage:
             ref = transverse_average_eta(omega, pulse, medium)
             fast = optimize_eta(medium, pulse, omega_bounds=(omega, omega),
                                 t0_bounds=(230e-9, 230e-9),
-                                waist=pulse.waist, grid_shape=(1, 1)).eta
+                                averaged=True, grid_shape=(1, 1)).eta
             assert fast == pytest.approx(ref, rel=1e-6)
 
     def test_matches_2d_quadrature(self, medium, pulse):
@@ -230,7 +247,8 @@ class TestTransverseAverage:
                               r_z=25e-6, gamma_total=GAMMA,
                               branching_ratio=1.0 / 12.0, lambda_p=795e-9)
         w = 100e-6
-        avg = transverse_average_eta(TWO_PI * 15e6, pulse, medium, waist=w)
+        avg = transverse_average_eta(TWO_PI * 15e6,
+                                     replace(pulse, waist=w), medium)
         coverage = 1.0 - math.exp(-2.0 * medium.r_x**2 / w**2)
         peak = eta_total(TWO_PI * 15e6, pulse, medium).eta_total
         assert avg <= 1.05 * coverage * peak
@@ -240,7 +258,7 @@ class TestOptimizeEta:
     def test_averaged_curve_maximum(self, medium, pulse):
         # with the switch-off time pinned to its reference value the
         # transverse-averaged efficiency peaks near 60% at 2 pi x 15 MHz
-        result = optimize_eta(medium, pulse, waist=pulse.waist,
+        result = optimize_eta(medium, pulse, averaged=True,
                               t0_bounds=(230e-9, 230e-9),
                               omega_bounds=(TWO_PI * 5e6, TWO_PI * 60e6),
                               grid_shape=(120, 1))
@@ -249,11 +267,11 @@ class TestOptimizeEta:
         assert not result.on_boundary
 
     def test_free_optimum_beats_pinned(self, medium, pulse):
-        pinned = optimize_eta(medium, pulse, waist=pulse.waist,
+        pinned = optimize_eta(medium, pulse, averaged=True,
                               t0_bounds=(230e-9, 230e-9),
                               omega_bounds=(TWO_PI * 5e6, TWO_PI * 60e6),
                               grid_shape=(80, 1))
-        free = optimize_eta(medium, pulse, waist=pulse.waist,
+        free = optimize_eta(medium, pulse, averaged=True,
                             omega_bounds=(TWO_PI * 5e6, TWO_PI * 60e6),
                             t0_bounds=(0.0, 1e-6), grid_shape=(80, 80))
         assert free.eta >= pinned.eta
@@ -317,7 +335,7 @@ class TestOptimizeEta:
         pulse = PulseParams(tau_p=tau_ns * 1e-9, t0=0.0,
                             waist=waist_um * 1e-6)
         on_axis = optimize_eta(medium, pulse, grid_shape=(24, 24))
-        averaged = optimize_eta(medium, pulse, waist=pulse.waist,
+        averaged = optimize_eta(medium, pulse, averaged=True,
                                 grid_shape=(24, 24))
         assert averaged.eta <= on_axis.eta * (1.0 + REFINE_TOL)
 

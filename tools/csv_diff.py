@@ -6,10 +6,13 @@ Usage (from anywhere inside the repository):
 
 Each revision is checked out into its own temporary clone, as
 ``tools/bench_pairs.py`` does.  Both run ``python -m becmemory.cli`` from
-their own ``src`` on the same 117 inputs: every parameter set of
+their own ``src`` on the same 121 inputs: every parameter set of
 perfbench's two CLI workloads (9 command variants x 12 sets, read from
-``perfbench/workloads.py``) and each variant once with its defaults (fig3
-to fig8, tomography, and optimize averaged and on axis).  The parameter
+``perfbench/workloads.py``), each variant once with its defaults (fig3
+to fig8, tomography, and optimize averaged and on axis), and four runs
+with the detector noise off (``detector.relative_sigma=0``), which no
+parameter set does: tomography with exact states, with 3 x 300 shots and
+with attenuation on at sigma_B = 0, and fig4.  The parameter
 sets, ``perfbench/checks.py`` and ``perfbench/reference.json`` are read
 from PARENT's clone and never written.
 
@@ -36,6 +39,18 @@ from bench_pairs import checkout, git
 CLI_WORKLOADS = ("cli-short", "cli-efficiency")
 DEFAULTS = {"optimize-on-axis": ["optimize", "--set",
                                  "optimize.averaged=false"]}
+# runs with the detector noise off: label -> argv
+NOISELESS = ["--set", "detector.relative_sigma=0"]
+NOISELESS_RUNS = {
+    "tomography/noiseless": ["tomography", *NOISELESS],
+    "tomography/noiseless-shots": [
+        "tomography", *NOISELESS, "--set", "tomography.shots=300",
+        "--set", "tomography.repeats=3"],
+    "tomography/noiseless-attenuated": [
+        "tomography", *NOISELESS, "--set", "attenuation.enabled=true",
+        "--set", "noise.preset=custom", "--set", "noise.sigma_b_mg=0"],
+    "fig4/noiseless": ["fig4", *NOISELESS],
+}
 
 
 def inputs(workloads):
@@ -43,8 +58,10 @@ def inputs(workloads):
     variants = [v for w in CLI_WORKLOADS for v in workloads.WORKLOADS[w]]
     runs = [(f"{v}/{i}", v, workloads.parameter_set(v, i), None)
             for v in variants for i in range(workloads.SETS)]
-    return runs + [(f"{v}/default", v, None, DEFAULTS.get(v, [v]))
-                   for v in variants]
+    runs += [(f"{v}/default", v, None, DEFAULTS.get(v, [v]))
+             for v in variants]
+    return runs + [(label, label.split("/")[0], None, argv)
+                   for label, argv in NOISELESS_RUNS.items()]
 
 
 def run_cli(tree, argv, cwd):
