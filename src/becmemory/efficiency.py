@@ -19,7 +19,7 @@ from .constants import (BOLTZMANN, D1_WAVELENGTH, HBAR, RB87_MASS,
 from .eit import (CompressionCheck, MediumParams, check_compression_condition,
                   optical_depth, pulse_delay, transparency_width)
 from .memory import damping_factor
-from .numerics import erf, i0e, quad
+from .numerics import ERF_SATURATION, erf, gauss_legendre, i0e, quad
 
 SQRT2 = math.sqrt(2.0)
 
@@ -182,6 +182,15 @@ REFINE_TOL = 1e-4    # relative eta gain below which a refinement pass is stale
 BLOCK_CELLS = 2**17  # most (Omega_c, t0, node) cells per objective block
 
 
+def _t0_horizon(omega_c, d_p, transit, tau_p: float, gamma: float) -> float:
+    """Switch-off time past which eta_comp is exactly 0 on every line:
+    both its erf arguments are then >= ERF_SATURATION (erf is exactly 1),
+    with a relative slack for their rounding."""
+    tau_d = pulse_delay(np.min(omega_c), max(np.max(d_p), 0.0), gamma)
+    return (tau_d + np.max(transit) + ERF_SATURATION * SQRT2 * tau_p) \
+        * (1.0 + 1e-9)
+
+
 def optimize_eta(medium: MediumParams, pulse: PulseParams,
                  omega_bounds: tuple[float, float] = DEFAULT_OMEGA_BOUNDS,
                  t0_bounds: tuple[float, float] | None = None,
@@ -191,8 +200,12 @@ def optimize_eta(medium: MediumParams, pulse: PulseParams,
     """Maximize the efficiency over control Rabi frequency and switch-off time.
 
     A log-linear grid search (log in omega_c, linear in t0) locates the
-    basin; a deterministic shrinking-stencil refinement then resolves the
-    optimum to better than REFINE_TOL relative in eta.  With ``averaged``
+    basin; a shrinking-stencil refinement climbs from it until 10 passes in
+    a row each gain less than REFINE_TOL relative (at most 60 passes).
+    That bounds no distance to the optimum: a small gain moves the stencil
+    without halving it, so the search can stop with its t0 step wider than
+    the pulse (the strict xfail test_averaged_optimum_never_beats_on_axis
+    pins such a stop).  With ``averaged``
     the efficiency averaged over the pulse's beam profile is optimized on
     N_RADIAL Gauss-Legendre nodes of the radial line; otherwise the on-axis
     value, the same objective on the single node r = 0.  The default t0
@@ -211,7 +224,7 @@ def optimize_eta(medium: MediumParams, pulse: PulseParams,
         raise ValueError("invalid t0 bounds")
 
     if averaged:
-        nodes, gl_weights = np.polynomial.legendre.leggauss(N_RADIAL)
+        nodes, gl_weights = gauss_legendre(N_RADIAL)
         r = 0.5 * (nodes + 1.0)
         weights = 0.5 * gl_weights * _radial_weight(r, medium.r_x,
                                                     medium.r_y, pulse.waist)
@@ -223,12 +236,19 @@ def optimize_eta(medium: MediumParams, pulse: PulseParams,
 
     def objective(omegas, t0s):
         # Blocks of Omega_c rows: the full (Omega_c, t0, node) cube of a
-        # 200 x 200 grid would hold 31 MB per temporary.
+        # 200 x 200 grid would hold 31 MB per temporary.  The (ascending)
+        # t0 columns past a block's horizon are left 0.
         rows = max(1, BLOCK_CELLS // (t0s.size * r.size))
-        return np.concatenate([
-            _eta_on_depth(d_p, omegas[i:i + rows, None, None], t0s[:, None],
-                          pulse.tau_p, medium.gamma_total, transit) @ weights
-            for i in range(0, omegas.size, rows)])
+        values = np.zeros((omegas.size, t0s.size))
+        for i in range(0, omegas.size, rows):
+            block = omegas[i:i + rows]
+            live = np.searchsorted(t0s, _t0_horizon(
+                block, d_p, transit, pulse.tau_p, medium.gamma_total),
+                side="right")
+            values[i:i + rows, :live] = _eta_on_depth(
+                d_p, block[:, None, None], t0s[:live, None], pulse.tau_p,
+                medium.gamma_total, transit) @ weights
+        return values
 
     n_om, n_t0 = grid_shape
     omegas = np.geomspace(om_lo, om_hi, max(n_om, 1))
@@ -237,10 +257,9 @@ def optimize_eta(medium: MediumParams, pulse: PulseParams,
     i, j = np.unravel_index(np.argmax(values), values.shape)
     best_log_om, best_t0, best = math.log(omegas[i]), t0s[j], values[i, j]
 
-    # Shrinking-stencil refinement in (log omega_c, t0).  Each pass evaluates
-    # a 5x5 stencil around the incumbent; when the incumbent stays put the
-    # stencil is halved, so 60 passes resolve the optimum far below
-    # REFINE_TOL in eta for any smooth objective.
+    # Shrinking-stencil refinement in (log omega_c, t0): each pass moves to
+    # the best point of a 5x5 stencil, or halves the stencil if none beats
+    # the incumbent; a gain below REFINE_TOL counts as stale even if it moves.
     log_lo, log_hi = math.log(om_lo), math.log(om_hi)
     span_log = (log_hi - log_lo) / max(len(omegas) - 1, 1)
     span_t0 = (t0_hi - t0_lo) / max(len(t0s) - 1, 1)

@@ -81,6 +81,29 @@ def i0e(x):
     return out[()]
 
 
+def gauss_legendre(n: int):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule.
+
+    Newton's iteration on the three-term recurrence from Tricomi's guess
+    (Hale & Townsend 2013), w = 2 / ((1 - x^2) P_n'(x)^2), symmetrized; no
+    eigen-solve as in leggauss, so no BLAS threads wake.
+    """
+    k = np.arange(n, 0, -1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (4 * k - 1)
+                                                 / (4 * n + 2))
+    for _ in range(100):
+        p, p_prev, dp = x, np.ones_like(x), np.ones_like(x)
+        for j in range(2, n + 1):
+            p, p_prev, dp = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, \
+                p, j * p + x * dp
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 2.0 * sys.float_info.epsilon:
+            break
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
 def _norm(x):
     """2-norm over the values (axis 0), quad_vec's default norm."""
     return np.sqrt(np.sum(x * x, axis=0))

@@ -7,15 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from becmemory import efficiency
+from becmemory.config import load_config
 from becmemory.constants import (BOLTZMANN, HBAR, RB87_MASS,
                                 SPEED_OF_LIGHT)
-from becmemory.efficiency import (REFINE_TOL, PulseParams, _eta_on_depth,
-                                  _radial_weight, bimodal_eta, eta_comp,
-                                  eta_decay, eta_total, eta_trans,
+from becmemory.efficiency import (DEFAULT_OMEGA_BOUNDS, N_RADIAL, REFINE_TOL,
+                                  PulseParams, _eta_on_depth, _radial_line,
+                                  _radial_weight, _t0_horizon, bimodal_eta,
+                                  eta_comp, eta_decay, eta_total, eta_trans,
                                   optimize_eta, recoil_sigma_eta,
                                   thermal_decay_time, transverse_average_eta)
 from becmemory.eit import (MediumParams, optical_depth, pulse_delay,
                            transparency_width)
+from becmemory.numerics import gauss_legendre
 
 TWO_PI = 2.0 * math.pi
 GAMMA = 1.0 / 26e-9
@@ -313,6 +317,63 @@ class TestOptimizeEta:
                               grid_shape=(40, 1))
         assert result.on_boundary
         assert result.omega_c == pytest.approx(TWO_PI * 40e6, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dp_target=st.one_of(st.just(0.0), st.floats(1.0, 1000.0)),
+           tau_ns=st.floats(20.0, 500.0), waist_um=st.floats(1.0, 50.0),
+           averaged=st.booleans(), include_transit=st.booleans(),
+           n_omega=st.integers(1, 30), n_t0=st.integers(1, 60),
+           t0_lo=st.floats(-1.0, 1.0), t0_span=st.floats(0.0, 2.0))
+    def test_skipped_t0_columns_are_exactly_zero(
+            self, dp_target, tau_ns, waist_um, averaged, include_transit,
+            n_omega, n_t0, t0_lo, t0_span):
+        # dp_target = 0 keeps the raw cloud, as the CLI does
+        cfg = load_config(overrides=[f"medium.dp_target={dp_target!r}",
+                                     f"pulse.tau_p_ns={tau_ns!r}",
+                                     f"pulse.waist_um={waist_um!r}"])
+        medium, tau_p = cfg.model_medium, cfg.pulse.tau_p
+        gamma = medium.gamma_total
+        r = 0.5 * (gauss_legendre(N_RADIAL)[0] + 1.0) if averaged \
+            else np.zeros(1)
+        d_p, transit = _radial_line(r, medium)
+        if not include_transit:
+            transit = 0.0
+        omegas = np.geomspace(*DEFAULT_OMEGA_BOUNDS, n_omega)
+        # caller t0 bounds in units of the default range's upper end
+        top = 5.0 * tau_p + pulse_delay(omegas[0], optical_depth(medium),
+                                        gamma)
+        t0s = np.linspace(t0_lo, t0_lo + t0_span, n_t0) * top
+        # each row alone, and all rows as one block
+        for block in [*omegas[:, None], omegas]:
+            horizon = _t0_horizon(block, d_p, transit, tau_p, gamma)
+            skipped = np.append(t0s[t0s > horizon],
+                                np.nextafter(horizon, math.inf))
+            eta = _eta_on_depth(d_p, block[:, None, None], skipped[:, None],
+                                tau_p, gamma, transit)
+            assert np.all(eta == 0.0)
+
+    @pytest.mark.parametrize("averaged", [False, True])
+    def test_column_skip_changes_no_bit(self, monkeypatch, medium, pulse,
+                                        averaged):
+        kwargs = dict(averaged=averaged, grid_shape=(60, 60),
+                      t0_bounds=(-0.2e-6, 3e-6))
+        skipping = optimize_eta(medium, pulse, **kwargs)
+        monkeypatch.setattr(efficiency, "_t0_horizon",
+                            lambda *args: math.inf)
+        assert optimize_eta(medium, pulse, **kwargs) == skipping
+
+    def test_averaged_search_calls_no_lapack(self, monkeypatch, medium,
+                                             pulse):
+        # leggauss is an eigen-solve, which wakes OpenBLAS's threads
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lapack)
+        monkeypatch.setattr(np.linalg, "eigh", lapack)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lapack)
+        result = optimize_eta(medium, pulse, averaged=True,
+                              grid_shape=(40, 40))
+        assert 0.0 < result.eta < 1.0
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,

@@ -1,4 +1,5 @@
-"""numpy erf, i0e and quad against scipy, which is only a test oracle here."""
+"""numpy erf, i0e and quad against scipy, which is only a test oracle here,
+and gauss_legendre against numpy's eigenvalue-based leggauss."""
 
 import math
 
@@ -15,7 +16,7 @@ from becmemory.cli import main
 from becmemory.efficiency import (PulseParams, _eta_on_depth, _radial_line,
                                   _radial_weight, transverse_average_eta)
 from becmemory.eit import MediumParams
-from becmemory.numerics import erf, i0e, quad
+from becmemory.numerics import erf, gauss_legendre, i0e, quad
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 6.0, -6.0, 8.0, -8.0, 1e-300, -1e-300,
            math.inf, -math.inf, math.nan]
@@ -49,6 +50,19 @@ def test_i0e_equals_scipy():
                          math.nan]])
     assert np.array_equal(i0e(x), scipy_i0e(x), equal_nan=True)
     assert isinstance(i0e(3.0), float) and i0e(3.0) == scipy_i0e(3.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 96])
+def test_gauss_legendre_matches_leggauss(n):
+    x, w = gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - ref_x)) <= 4e-16
+    assert np.max(np.abs(w / ref_w - 1.0)) <= 2e-12
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(np.sum(w) - 2.0) <= 1e-14
+    # exact for every even power up to degree 2n - 1
+    for k in range(n):
+        assert abs(w @ x**(2 * k) - 2.0 / (2 * k + 1)) <= 1e-14
 
 
 @settings(max_examples=20, deadline=None)
