@@ -186,7 +186,7 @@ def _t0_horizon(omega_c, d_p, transit, tau_p: float, gamma: float) -> float:
     """Switch-off time past which eta_comp is exactly 0 on every line:
     both its erf arguments are then >= ERF_SATURATION (erf is exactly 1),
     with a relative slack for their rounding."""
-    tau_d = pulse_delay(np.min(omega_c), max(np.max(d_p), 0.0), gamma)
+    tau_d = pulse_delay(np.min(omega_c), np.max(d_p), gamma)
     return (tau_d + np.max(transit) + ERF_SATURATION * SQRT2 * tau_p) \
         * (1.0 + 1e-9)
 
