@@ -6,20 +6,108 @@ lifetimes, and a two-parameter rescaling of a tabulated reference curve for
 comparing measured efficiencies against the model prediction.  The minimizer
 is damped least squares; standard errors come from the scaled inverse
 Gauss-Newton normal matrix at the optimum.
+
+The sinusoid fit gives ``least_squares`` its analytic Jacobian and runs a
+numpy Levenberg-Marquardt loop, so it loads no scipy; its standard errors
+come from that Jacobian, within ~3e-7 of the former 2-point one.  The
+Gaussian decay (fig4) and the scaled model still run scipy's ``trf`` with a
+2-point Jacobian: perfbench's fig4 reference records that solver's bias, so
+they move only once the reference is re-derived (ROADMAP item 1).
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 
-def least_squares(*args, **kwargs):
-    """scipy's ``least_squares``, imported on first call so that importing
-    this module loads no scipy; perfbench's tracer counts its ``nfev`` by
-    this name."""
-    from scipy.optimize import least_squares
-    return least_squares(*args, **kwargs)
+# Tolerance of both solvers on the step, the decrease and the gradient.
+LSQ_TOL = 1e-13
+
+
+def least_squares(fun, x0, jac=None, bounds=(-np.inf, np.inf), max_nfev=2000):
+    """Minimize sum(fun(x)**2) from ``x0``; perfbench's tracer counts the
+    result's ``nfev`` by this name.
+
+    With ``jac``, the Jacobian of ``fun``, it is the unbounded numpy
+    Levenberg-Marquardt loop ``_levenberg_marquardt``.  Without it, it is
+    scipy's bounded ``trf`` with a 2-point Jacobian, imported on first call
+    so that importing this module loads no scipy; only
+    ``fit_gaussian_decay`` and ``fit_scaled_model`` take this branch, and
+    it goes when their analytic Jacobians replace it (ROADMAP item 1).
+    Either way the result has ``x``, ``fun``, ``jac``, ``nfev`` and
+    ``status``, which is > 0 on convergence and 0 when ``max_nfev`` ran out.
+    """
+    if jac is not None:
+        return _levenberg_marquardt(fun, jac, x0, max_nfev)
+    from scipy.optimize import least_squares as trf
+    return trf(fun, x0, bounds=bounds, method="trf", xtol=LSQ_TOL,
+               ftol=LSQ_TOL, gtol=LSQ_TOL, max_nfev=max_nfev)
+
+
+# Floor of the Levenberg-Marquardt parameter: it damps a step by a part in
+# 1e12 at most, and keeps the damped system regular where a column is 0.
+LM_LAMBDA_MIN = 1e-12
+
+
+def _levenberg_marquardt(fun, jac, x0, max_nfev):
+    """Levenberg-Marquardt (More, LNM 630, 1978): each step solves
+    (J^T J + lam D) s = -J^T r, D the largest diag(J^T J) met so far.
+    lam follows Nielsen's rule (Madsen, Nielsen & Tingleff, "Methods for
+    non-linear least squares problems", 2004, eq. 2.21): after a step that
+    lowers the sum of squares it shrinks, by up to 3x and not below
+    ``LM_LAMBDA_MIN``, the closer the decrease came to the one the linear
+    model predicted; after a step that does not, it grows by 2, 4, 8, ...
+
+    The status follows scipy's: 1 when every column's cosine with the
+    residual, its norm taken as sqrt(D), is at most ``LSQ_TOL``; 2 when an
+    accepted step lowers the sum by at most ``LSQ_TOL`` of it, and by more
+    than a quarter of the decrease the linear model predicted; 3 when the
+    step, scaled by sqrt(D), is at most ``LSQ_TOL`` of the parameters so
+    scaled; 0 when ``max_nfev`` residual evaluations ran out.  J^T J and
+    J^T r are summed with ``einsum``, in the calling thread, as
+    ``_explained`` explains.
+    """
+    x = np.array(x0, dtype=float)
+    r, jacobian = fun(x), jac(x)
+    cost, lam, nu, nfev, status = float(r @ r), 1e-3, 2.0, 1, 0
+    d = np.zeros(x.size)
+    while nfev < max_nfev:
+        a = np.einsum("ni,nj->ij", jacobian, jacobian)
+        g = np.einsum("ni,n->i", jacobian, r)
+        # D keeps a column that fades out, as sigma's does when the data
+        # define no finite sigma, from making the damped system singular
+        d = np.maximum(d, np.diag(a))
+        if np.all(np.abs(g) <= LSQ_TOL * np.sqrt(d * cost)):
+            status = 1
+            break
+        step = np.linalg.solve(a + lam * np.diag(d), -g)
+        trial = fun(x + step)
+        nfev += 1
+        trial_cost = float(trial @ trial)
+        small = np.linalg.norm(np.sqrt(d) * step) \
+            <= LSQ_TOL * np.linalg.norm(np.sqrt(d) * x)
+        if trial_cost < cost:
+            predicted = -float(2.0 * g @ step + step @ a @ step)
+            decrease = cost - trial_cost
+            x, r, cost = x + step, trial, trial_cost
+            jacobian = jac(x)
+            rho = decrease / predicted if predicted > 0 else 1.0
+            lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0)**3),
+                      LM_LAMBDA_MIN)
+            nu = 2.0
+            if decrease <= LSQ_TOL * cost and rho > 0.25:
+                status = 2
+                break
+        else:
+            lam *= nu
+            nu *= 2.0
+        if small:
+            status = 3
+            break
+    return SimpleNamespace(x=x, fun=r, jac=jacobian, nfev=nfev,
+                           status=status)
 
 
 @dataclass
@@ -62,15 +150,22 @@ class FitResult:
     message: str = ""
 
 
-def _finish(names, data: DataSeries, model, p0, bounds) -> FitResult:
+def _finish(names, data: DataSeries, model, p0, bounds=(-np.inf, np.inf),
+            jacobian=None) -> FitResult:
+    """Fit ``model(p, x)`` to ``data`` from ``p0``: with ``jacobian(p, x)``,
+    its analytic Jacobian, unbounded by ``least_squares``' numpy loop, and
+    without it within ``bounds`` by scipy's."""
     weights = 1.0 / data.sigma_y if data.sigma_y is not None else 1.0
 
     def residuals(p):
         return (model(p, data.x) - data.y) * weights
 
-    result = least_squares(residuals, p0, bounds=bounds, method="trf",
-                           xtol=1e-13, ftol=1e-13, gtol=1e-13,
-                           max_nfev=2000)
+    def weighted_jacobian(p):
+        return jacobian(p, data.x) * np.reshape(weights, (-1, 1))
+
+    result = least_squares(residuals, p0,
+                           None if jacobian is None else weighted_jacobian,
+                           bounds)
     converged = result.status > 0
     dof = max(data.n - len(p0), 1)
     chi2 = float(result.fun @ result.fun) / dof
@@ -137,25 +232,31 @@ def _explained(freqs, x, ye, e2):
 
 def _coarse_scan(x, ye, span):
     """Frequency of the largest diagonal-Gram power |sum ye exp(-2 pi i f x)|^2
-    over [0.25/span, 0.25/delta], by extirpolation (Press & Rybicki, ApJ 338,
-    277, 1989): each sample is spread onto a uniform grid of n steps
-    delta = span / n with the order-4 Lagrange weights of the two nodes on
-    either side of it, and one rfft, zero-padded to a power of two at least
-    4 (n + 1) and 4096, gives the sum in bins at most 1/(4 span) wide.  The
-    band stops at half the grid's Nyquist frequency, below which the
-    weights interpolate exp(-2 pi i f x) well.
+    over [0.25/span, 0.5/dx], dx the smallest gap, by extirpolation (Press &
+    Rybicki, ApJ 338, 277, 1989): each sample is spread onto a uniform grid
+    of n steps delta = span / n with the order-4 Lagrange weights of the two
+    nodes on either side of it, and one zero-padded rfft gives the sum in
+    bins at most 1/(4 span) wide.
 
-    n = 2 round(span / dx), dx the smallest gap, puts the band's top at
-    0.5/dx to rounding; on a lattice every sample sits on an even node with
-    weights 1 and 0, so the scan is the FFT of the samples summed per site.
+    Off a lattice, n = 2 round(span / dx), so the band's top is half the
+    grid's Nyquist frequency, below which the weights interpolate
+    exp(-2 pi i f x) well; the rfft is zero-padded to a power of two at
+    least 4 (n + 1) and 4096.  When every sample lies on the lattice of
+    step span / round(span / dx), to 1e-6 of a step, n = round(span / dx):
+    each sample sits on a node with weights 1 and 0, the band reaches the
+    grid's Nyquist frequency, and an rfft half as long has the same bins.
     To keep the FFT within ``FFT_MAX_SAMPLES``, n is capped at
     FFT_MAX_SAMPLES/4 - 1: a smaller gap coarsens the grid, and the band
     then ends below 0.5/dx rather than where the extirpolation fails.
     """
     dx = np.diff(np.unique(x)).min()
-    n = int(min(2.0 * np.rint(span / dx), FFT_MAX_SAMPLES // 4 - 1))
+    sites = np.rint(span / dx)
+    u = (x - x.min()) / (span / sites)
+    refine = 1 if sites < FFT_MAX_SAMPLES // 4 \
+        and np.max(np.abs(u - np.rint(u))) <= 1e-6 else 2
+    n = int(min(refine * sites, FFT_MAX_SAMPLES // 4 - 1))
     delta = span / n
-    n_fft = max(1 << (4 * (n + 1) - 1).bit_length(), 4096)
+    n_fft = max(1 << (4 * (n + 1) - 1).bit_length(), 2048 * refine)
     u = (x - x.min()) / delta
     t = u - np.floor(u)
     weights = np.column_stack([-t * (t - 1.0) * (t - 2.0) / 6.0,
@@ -170,7 +271,8 @@ def _coarse_scan(x, ye, span):
     power = np.abs(np.fft.rfft(grid))**2
     bin_width = 1.0 / (n_fft * delta)
     first = math.ceil(0.25 / (span * bin_width))
-    return (first + int(np.argmax(power[first:n_fft // 4 + 1]))) * bin_width
+    top = n_fft // (2 * refine)
+    return (first + int(np.argmax(power[first:top + 1]))) * bin_width
 
 
 def _zoom(x, ye, e2, best, step):
@@ -273,7 +375,6 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
     (a, b), *_ = np.linalg.lstsq(basis, data.y, rcond=None)
     amp0 = float(init.get("amplitude", max(math.hypot(a, b), 1e-12)))
     phi00 = float(init.get("phi0", math.atan2(b, a)))
-    sigma_floor = 1e-9 * max(float(np.max(np.abs(data.x))), 1e-30)
 
     def model(p, x):
         # an undamped fit leaves sigma out of p; inf makes the envelope 1
@@ -281,18 +382,35 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
         return amp * np.exp(-x**2 / (2.0 * sigma**2)) \
             * np.cos(omega * x - phi0)
 
+    def jacobian(p, x):
+        amp, omega, phi0, sigma = (*p, math.inf)[:4]
+        e = np.exp(-x**2 / (2.0 * sigma**2))
+        phase = omega * x - phi0
+        cos, sin = e * np.cos(phase), amp * e * np.sin(phase)
+        return np.column_stack([cos, -sin * x, sin,
+                                amp * cos * x**2 / sigma**3][:len(p)])
+
     result = _finish(
         ("amplitude", "omega_f", "phi0", "sigma_alpha")[:n_params], data,
-        model, [amp0, omega0, phi00, sigma0][:n_params],
-        ([0.0, 0.0, -2.0 * math.pi, sigma_floor][:n_params],
-         [np.inf, np.inf, 2.0 * math.pi, np.inf][:n_params]))
-    params = dict(result.params)
+        model, [amp0, omega0, phi00, sigma0][:n_params], jacobian=jacobian)
+    # The model is unchanged by (A, phi0) -> (-A, phi0 + pi), by
+    # (omega, phi0) -> (-omega, -phi0) and by sigma -> -sigma, so the
+    # unbounded optimum folds back to A, omega, sigma >= 0 and |phi0| <= pi.
+    amp, omega, phi0 = (result.params[name]
+                        for name in ("amplitude", "omega_f", "phi0"))
+    if amp < 0:
+        amp, phi0 = -amp, phi0 + math.pi
+    if omega < 0:
+        omega, phi0 = -omega, -phi0
+    params = dict(result.params, amplitude=amp, omega_f=omega,
+                  phi0=math.remainder(phi0, 2.0 * math.pi))
     errors = dict(result.std_errors)
-    params["phi0"] = math.remainder(params["phi0"], 2.0 * math.pi)
     if undamped:
         params["sigma_alpha"] = math.inf
         if errors:
             errors["sigma_alpha"] = 0.0
+    else:
+        params["sigma_alpha"] = abs(params["sigma_alpha"])
     return FitResult(params, errors, result.chi2_per_dof, result.converged,
                      result.message)
 

@@ -1,9 +1,11 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares as scipy_least_squares
 
 from becmemory import fitting
 from becmemory.fitting import (DataSeries, FitResult, fit_damped_sinusoid,
@@ -212,6 +214,46 @@ ORACLE_TRACES = dict(
     damped=st.booleans(), jitter=st.floats(0.0, 0.6))
 
 
+def double_grid_scan(x, ye, span):
+    """``fitting._coarse_scan`` before the lattice-length FFT: the grid
+    always has 2 round(span / dx) steps, so a lattice's samples sit on its
+    even nodes."""
+    dx = np.diff(np.unique(x)).min()
+    n = int(min(2.0 * np.rint(span / dx), fitting.FFT_MAX_SAMPLES // 4 - 1))
+    delta = span / n
+    n_fft = max(1 << (4 * (n + 1) - 1).bit_length(), 4096)
+    u = (x - x.min()) / delta
+    t = u - np.floor(u)
+    weights = np.column_stack([-t * (t - 1.0) * (t - 2.0) / 6.0,
+                               (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+                               -(t + 1.0) * t * (t - 2.0) / 2.0,
+                               (t + 1.0) * t * (t - 1.0) / 6.0])
+    nodes = np.floor(u).astype(np.intp)[:, None] + np.arange(-1, 3)
+    grid = np.zeros(n_fft)
+    np.add.at(grid, nodes, weights * ye[:, None])
+    power = np.abs(np.fft.rfft(grid))**2
+    bin_width = 1.0 / (n_fft * delta)
+    first = math.ceil(0.25 / (span * bin_width))
+    return (first + int(np.argmax(power[first:n_fft // 4 + 1]))) * bin_width
+
+
+@contextlib.contextmanager
+def rfft_lengths():
+    """The lengths of the rffts taken inside the block."""
+    lengths = []
+    rfft = np.fft.rfft
+
+    def recorded(a, n=None, *args, **kwargs):
+        lengths.append(np.shape(a)[-1] if n is None else n)
+        return rfft(a, n, *args, **kwargs)
+
+    np.fft.rfft = recorded
+    try:
+        yield lengths
+    finally:
+        np.fft.rfft = rfft
+
+
 def fig3_trace():
     """(x, y, envelope) of a noisy damped sinusoid on fig3's lattice."""
     x = faraday_grid()
@@ -248,6 +290,33 @@ class TestFrequencyScan:
         explained = fitting._explained(np.array([found, pinned]) / TWO_PI,
                                        x, ye, envelope**2)
         assert explained[0] >= explained[1] * (1.0 - 1e-12)
+
+    def test_fig3_scan_takes_a_lattice_length_fft(self):
+        x, y, envelope = fig3_trace()
+        ye = (y - y.mean()) * envelope
+        with rfft_lengths() as lengths:
+            found = fitting._coarse_scan(x, ye, np.ptp(x))
+        assert lengths == [65536]
+        assert found == double_grid_scan(x, ye, np.ptp(x))
+
+    # On a lattice the scan's FFT is half the double grid's and has the
+    # same bins, so it finds the same frequency; off a lattice it is the
+    # double grid's scan, bit for bit.
+    @settings(max_examples=200, deadline=None)
+    @given(**dict(ORACLE_TRACES,
+                  jitter=st.just(0.0) | ORACLE_TRACES["jitter"]))
+    def test_scan_matches_the_double_grid_scan(
+            self, seed, n_sites, offset, delta, damped, jitter):
+        x, y, env, _ = oracle_trace(seed, n_sites, offset, delta, damped,
+                                    jitter)
+        ye = (y - y.mean()) * env
+        span = np.ptp(x)
+        with rfft_lengths() as lengths:
+            found = fitting._coarse_scan(x, ye, span)
+        with rfft_lengths() as double:
+            assert found == double_grid_scan(x, ye, span)
+        if jitter == 0.0:
+            assert 2 * lengths[0] == double[0]
 
     @pytest.mark.parametrize("delta, offset, n", [
         (0.25, 0.0, 12), (1.0, 0.0, 16), (0.25, 240.5, 40),
@@ -301,22 +370,15 @@ class TestFrequencyScan:
         assert explained["scan"] >= explained["direct"] * (1.0 - 1e-9)
         assert abs(best["scan"] - best["direct"]) < 1.0 / np.ptp(x)
 
-    def test_tiny_minimum_gap_keeps_the_fft_within_the_cap(
-            self, monkeypatch):
-        lengths = []
-        rfft = np.fft.rfft
-
-        def recorded(a, n=None, *args, **kwargs):
-            lengths.append(np.shape(a)[-1] if n is None else n)
-            return rfft(a, n, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "rfft", recorded)
+    def test_tiny_minimum_gap_keeps_the_fft_within_the_cap(self):
         # random times, free of aliases, and one pair 1e-9 span apart
         span = 1.0
         x = np.sort(np.random.default_rng(7).uniform(0.0, span, 200))
         x = np.concatenate([[0.0, span], x, [x[100] + 1e-9 * span]])
         y = np.cos(TWO_PI * 5.0 / span * x + 0.4)
-        found = fitting._dominant_frequency(x, y, np.ones_like(x)) / TWO_PI
+        with rfft_lengths() as lengths:
+            found = fitting._dominant_frequency(x, y, np.ones_like(x)) \
+                / TWO_PI
         assert lengths and max(lengths) <= fitting.FFT_MAX_SAMPLES
         assert abs(found - 5.0 / span) < 1.0 / span
 
@@ -337,6 +399,135 @@ class TestFrequencyScan:
         best, explained = scan_against_direct_scan(x, y, env)
         assert explained["scan"] >= explained["direct"] * (1.0 - 1e-9) \
             or abs(best["scan"] - freq) < 1.0 / np.ptp(x)
+
+
+def solver_trace(seed, n, periods, width, noise, undamped, weighted):
+    """A random damped (or undamped) sinusoid over ``periods`` periods on
+    n random times in [0, 1], its envelope ``width`` wide, with Gaussian
+    noise of relative size ``noise``, optionally weighted by per-point
+    uncertainties."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    sigma = math.inf if undamped else width
+    scale = rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
+    y = damped_cos(x, rng.uniform(0.2, 2.0), TWO_PI * periods,
+                   rng.uniform(-math.pi, math.pi), sigma) \
+        + noise * scale * rng.normal(size=n)
+    return DataSeries(x, y, noise * scale if weighted and noise else None)
+
+
+@contextlib.contextmanager
+def solver_calls():
+    """(residual function, start, result) of each ``fitting.least_squares``
+    call inside the block."""
+    calls = []
+    solver = fitting.least_squares
+
+    def recording(fun, x0, *args, **kwargs):
+        result = solver(fun, x0, *args, **kwargs)
+        calls.append((fun, np.array(x0, dtype=float), result))
+        return result
+
+    fitting.least_squares = recording
+    try:
+        yield calls
+    finally:
+        fitting.least_squares = solver
+
+
+def fit_with_oracle(data, undamped):
+    """The fit, and scipy's ``trf`` started from the fit's own start on its
+    own residuals: (fit, oracle's chi2/dof, oracle's |omega|, |sigma|)."""
+    with solver_calls() as calls:
+        fit = fit_damped_sinusoid(data, undamped=undamped)
+    fun, x0, _ = calls[0]
+    oracle = scipy_least_squares(fun, x0, method="trf", xtol=1e-13,
+                                 ftol=1e-13, gtol=1e-13, max_nfev=2000)
+    dof = data.n - x0.size
+    return (fit, float(oracle.fun @ oracle.fun) / dof, abs(oracle.x[1]),
+            abs(oracle.x[3]) if x0.size == 4 else 0.0)
+
+
+class TestSolver:
+    def test_linear_problem(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(30, 3)), rng.normal(size=30)
+        result = fitting.least_squares(lambda p: a @ p - b, np.zeros(3),
+                                       jac=lambda p: a)
+        assert result.nfev > 0 and result.status > 0
+        expected, *_ = np.linalg.lstsq(a, b, rcond=None)
+        np.testing.assert_allclose(result.x, expected, rtol=1e-10)
+        np.testing.assert_array_equal(result.fun, a @ result.x - b)
+        np.testing.assert_array_equal(result.jac, a)
+
+    def test_sinusoid_fit_reports_nfev_and_status(self):
+        x, y, _ = fig3_trace()
+        with solver_calls() as calls:
+            fit = fit_damped_sinusoid(DataSeries(x, y))
+        assert fit.converged
+        assert len(calls) == 1
+        result = calls[0][2]
+        assert result.nfev > 0 and result.status > 0
+
+    def test_running_out_of_evaluations_is_not_converged(self, monkeypatch):
+        solver = fitting.least_squares
+        monkeypatch.setattr(fitting, "least_squares", lambda *args, **kw:
+                            solver(*args, **dict(kw, max_nfev=2)))
+        x, y, _ = fig3_trace()
+        fit = fit_damped_sinusoid(DataSeries(x, y))
+        assert not fit.converged
+        assert fit.message == "did not converge"
+        assert fit.std_errors == {}
+
+    def test_parameters_fold_back_into_range(self):
+        # started from a negative amplitude and frequency, the unbounded
+        # fit ends at (-A, -omega); the result reads (A, omega)
+        x = np.linspace(0.0, 40e-6, 400)
+        y = damped_cos(x, 0.7, TWO_PI * 0.35e6, -1.1, 15e-6)
+        fit = fit_damped_sinusoid(
+            DataSeries(x, y), init={"amplitude": -0.7,
+                                    "omega_f": -TWO_PI * 0.35e6,
+                                    "phi0": 1.1 + math.pi,
+                                    "sigma_alpha": -15e-6})
+        assert fit.converged
+        for name, value in (("amplitude", 0.7), ("omega_f", TWO_PI * 0.35e6),
+                            ("phi0", -1.1), ("sigma_alpha", 15e-6)):
+            assert fit.params[name] == pytest.approx(value, rel=1e-9)
+
+    # scipy is only the oracle here: from the same start on the same
+    # residuals its trf reaches no lower chi2, and where both land in the
+    # drawn frequency's basin (within a quarter of a basin's width,
+    # 2 pi / span) they agree on omega.  Both stop once a step lowers chi2
+    # by 1e-13 of it, which locates omega to about 1e-6 sqrt(dof / 100) of
+    # its standard error, hence the second term of the omega tolerance.
+    # Noiseless data leave residuals of rounding errors, ~1e-13 of y, whose
+    # squares no solver can order, hence the absolute term of the chi2
+    # bound.
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 300),
+           periods=st.floats(3.0, 40.0), width=st.floats(0.3, 3.0),
+           noise=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
+           undamped=st.booleans(), weighted=st.booleans())
+    def test_matches_scipy_from_the_same_start(
+            self, seed, n, periods, width, noise, undamped, weighted):
+        data = solver_trace(seed, n, periods, width, noise, undamped,
+                            weighted)
+        fit, oracle_chi2, oracle_omega, oracle_sigma = fit_with_oracle(
+            data, undamped)
+        # The model has no finite minimum along two valleys: sigma -> inf
+        # (data that define no envelope) and omega -> 0 with A -> inf,
+        # where A sin(omega x) tends to a line.  From a start that leads
+        # there both solvers walk on until their budget runs out, with no
+        # minimum to agree on.
+        assume(oracle_sigma < 10.0 and oracle_omega > 0.25 * TWO_PI)
+        assert fit.converged
+        assert fit.chi2_per_dof <= oracle_chi2 * (1.0 + 1e-9) \
+            + 1e-24 * float(np.mean(data.y**2))
+        omega = fit.params["omega_f"]
+        if max(abs(omega - TWO_PI * periods),
+               abs(oracle_omega - TWO_PI * periods)) < 0.25 * TWO_PI:
+            assert abs(omega - oracle_omega) <= 1e-8 * oracle_omega \
+                + 1e-5 * fit.std_errors["omega_f"]
 
 
 class TestGaussianDecay:

@@ -2,11 +2,11 @@
 
 scipy's subpackages cost most of a short command's start-up, so they are
 imported inside the kernels that use them, and the efficiency layer (fig7
-and optimize) uses numpy kernels instead.  Each check runs one command
-through ``becmemory.cli.main`` in a fresh interpreter, so it covers
-``import becmemory`` and ``import becmemory.cli`` too, and lists the
-``scipy`` modules loaded by then; a stray top-level import fails it.  No
-time is measured.
+and optimize) and the sinusoid fit use numpy kernels instead.  Each check
+runs one command through ``becmemory.cli.main``, or one fit, in a fresh
+interpreter, so it covers ``import becmemory`` and ``import becmemory.cli``
+too, and lists the ``scipy`` modules loaded by then; a stray top-level
+import fails it.  No time is measured.
 """
 
 import json
@@ -64,3 +64,17 @@ def test_fig4_loads_optimize_only(tmp_path):
     loaded = scipy_modules(run_command(argv), tmp_path)
     assert "scipy.optimize" in loaded
     assert "scipy.integrate" not in loaded
+
+
+def test_sinusoid_fit_loads_no_scipy(tmp_path):
+    # a noisy damped sinusoid on fig3's four-window lattice of 0.25 us
+    code = """
+import numpy as np
+from becmemory import DataSeries, fit_damped_sinusoid
+x = np.concatenate([np.arange(s, s + 25.125, 0.25)
+                    for s in (0.0, 495.0, 980.0, 2380.0)]) * 1e-6
+noise = 0.05 * np.random.default_rng(5).normal(size=x.size)
+y = np.exp(-x**2 / 2e-6) * np.cos(1.26e6 * x - 0.3) + noise
+assert fit_damped_sinusoid(DataSeries(x, y)).converged
+"""
+    assert scipy_modules(code, tmp_path) == set()
