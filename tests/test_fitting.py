@@ -517,8 +517,8 @@ class TestSolver:
         # The model has no finite minimum along two valleys: sigma -> inf
         # (data that define no envelope) and omega -> 0 with A -> inf,
         # where A sin(omega x) tends to a line.  From a start that leads
-        # there both solvers walk on until their budget runs out, with no
-        # minimum to agree on.
+        # there the numpy solver walks on until its budget runs out and
+        # scipy's stops somewhere along the valley: no minimum to agree on.
         assume(oracle_sigma < 10.0 and oracle_omega > 0.25 * TWO_PI)
         assert fit.converged
         assert fit.chi2_per_dof <= oracle_chi2 * (1.0 + 1e-9) \
