@@ -18,10 +18,11 @@ from . import efficiency as eff
 from . import eit
 from .config import RunConfig, parse_float_list
 from .fitting import DataSeries, fit_gaussian_decay
-from .memory import (MemoryParams, NoiseModel, apply_detector_noise,
-                     average_process_fidelity, damping_factor,
-                     faraday_frequency, memory_mueller, rotation_angle,
-                     s1_trace, sample_shots, sigma_alpha_from_noise)
+from .memory import (NOISE_PRESETS, MemoryParams, NoiseModel,
+                     apply_detector_noise, average_process_fidelity,
+                     damping_factor, faraday_frequency, memory_mueller,
+                     rotation_angle, s1_trace, sample_shots,
+                     sigma_alpha_from_noise)
 from .polarization import PoincareVector, StokesVector, measure, poincare
 from .tomography import (ANALYZERS, TomographyRecord, canonical_inputs,
                          extract_memory_params, process_tomography,
@@ -47,7 +48,7 @@ def _rotation_delay(cfg: RunConfig) -> float:
     """Slow-light delay entering the rotation angle (0 unless enabled)."""
     if not cfg.raw["rotation.include_pulse_delay"]:
         return 0.0
-    medium = cfg.model_medium
+    medium = cfg.medium
     return eit.pulse_delay(cfg.control.omega_c, eit.optical_depth(medium),
                            medium.gamma_total)
 
@@ -74,19 +75,18 @@ def _tomography_once(cfg: RunConfig, t_store: float, eta: float,
     outputs = []
     measurements = []
     attenuation = cfg.attenuation_factor()
+    if shots == 0:
+        alpha = damping_factor(t_store, sigma_alpha_from_noise(noise.sigma_b))
+        phi = rotation_angle(t_store, tau_d, faraday_frequency(noise.mean_bz))
+        ensemble = memory_mueller(MemoryParams(eta, alpha, phi)).m
     for k, (label, s_in) in enumerate(inputs.items()):
-        if shots > 0:
+        if shots == 0:
+            s_out = StokesVector.from_array(
+                ensemble @ s_in.as_array() * attenuation)
+        else:
             stack = sample_shots(poincare(s_in), t_store, tau_d, eta, noise,
                                  shots, _child_seed(cfg, *rep_tags, k))
             s_out = StokesVector.from_array(stack.mean(axis=0) * attenuation)
-        else:
-            alpha = damping_factor(t_store,
-                                   sigma_alpha_from_noise(noise.sigma_b))
-            phi = rotation_angle(t_store, tau_d,
-                                 faraday_frequency(noise.mean_bz))
-            m = memory_mueller(MemoryParams(eta, alpha, phi))
-            s_out = StokesVector.from_array(
-                m.m @ s_in.as_array() * attenuation)
         readings = _readings_for_state(s_out, rng, sigma, background)
         outputs.append(state_tomography(readings).stokes)
         for key in ANALYZERS:
@@ -107,19 +107,17 @@ def cmd_fig3(cfg: RunConfig) -> Table:
     phi0 = cfg.raw["fig3.phi0_rad"]
     u_in = PoincareVector(math.cos(phi0), -math.sin(phi0), 0.0)
     tau_d = _rotation_delay(cfg)
-    omega_f = faraday_frequency(cfg.noise.mean_bz)
-    sigma_alpha = sigma_alpha_from_noise(cfg.noise.sigma_b)
-    rows = []
-    for i, t in enumerate(t_us):
-        t_s = t * 1e-6
-        shot = sample_shots(u_in, t_s, tau_d, 1.0, cfg.noise, 1,
-                            _child_seed(cfg, 3, i))[0]
-        model = s1_trace(t_s, sigma_alpha,
-                         rotation_angle(t_s, tau_d, omega_f), phi0)
-        rows.append((float(t), float(shot[1] / shot[0]), model))
+    t_s = t_us * 1e-6
+    model = s1_trace(t_s, sigma_alpha_from_noise(cfg.noise.sigma_b),
+                     rotation_angle(t_s, tau_d,
+                                    faraday_frequency(cfg.noise.mean_bz)),
+                     phi0)
+    shots = [sample_shots(u_in, t, tau_d, 1.0, cfg.noise, 1,
+                          _child_seed(cfg, 3, i))[0]
+             for i, t in enumerate(t_s)]
     return Table(
         header=["t_store_us", "s1_over_s0_shot", "s1_over_s0_model"],
-        rows=rows)
+        rows=list(zip(t_us, [s[1] / s[0] for s in shots], model)))
 
 
 def cmd_fig4(cfg: RunConfig) -> Table:
@@ -129,8 +127,7 @@ def cmd_fig4(cfg: RunConfig) -> Table:
     factor = cfg.raw["fig4.t_max_sigma_factor"]
     rows = []
     metadata = []
-    for p, preset in enumerate(("unsynchronized", "line-synced",
-                                "feed-forward")):
+    for p, preset in enumerate(NOISE_PRESETS):
         noise = NoiseModel.from_preset(preset, cfg.noise.mean_bz)
         sigma_alpha = sigma_alpha_from_noise(noise.sigma_b)
         t_grid = np.linspace(0.0, factor * sigma_alpha, n_points)
@@ -159,8 +156,8 @@ def cmd_fig4(cfg: RunConfig) -> Table:
         metadata.append(f"fit.{preset}.amplitude = {amp:.6f}")
         model = damping_factor(t_grid, sigma_alpha)
         fitted = amp * damping_factor(t_grid, sig)
-        rows += [(preset, float(t) * 1e3, a, float(m), float(f))
-                 for t, a, m, f in zip(t_grid, alphas, model, fitted)]
+        rows += [(preset, t, a, m, f)
+                 for t, a, m, f in zip(t_grid * 1e3, alphas, model, fitted)]
     return Table(
         header=["preset", "t_store_ms", "alpha_tomography", "alpha_model",
                 "alpha_fit"],
@@ -177,11 +174,9 @@ def cmd_fig5(cfg: RunConfig) -> Table:
     t = np.linspace(0.0, t_max, n)
     model = eff.eta_decay(t, eta0, sigma_model)
     fitted = eff.eta_decay(t, eta0, sigma_fit)
-    rows = [(float(ti) * 1e3, float(m), float(f))
-            for ti, m, f in zip(t, model, fitted)]
     return Table(
         header=["t_store_ms", "eta_recoil_model", "eta_measured_fit"],
-        rows=rows,
+        rows=list(zip(t * 1e3, model, fitted)),
         extra_metadata=[f"sigma_eta_recoil_ms = {sigma_model * 1e3:.6f}",
                         f"sigma_eta_fit_ms = {sigma_fit * 1e3:.6f}"])
 
@@ -197,10 +192,8 @@ def cmd_fig6(cfg: RunConfig) -> Table:
                                      cfg.medium.lambda_p)
     t = np.linspace(0.0, t_max, n)
     curves = [eff.bimodal_eta(t, fc, sigma_bec, thermal) for fc in fractions]
-    rows = [tuple([float(ti) * 1e3] + [float(c[i]) for c in curves])
-            for i, ti in enumerate(t)]
     header = ["t_store_ms"] + [f"eta_fc_{fc:g}" for fc in fractions]
-    return Table(header=header, rows=rows,
+    return Table(header=header, rows=list(zip(t * 1e3, *curves)),
                  extra_metadata=[f"thermal_decay_time_us = "
                                  f"{thermal * 1e6:.6f}",
                                  f"sigma_bec_ms = {sigma_bec * 1e3:.6f}"])
@@ -211,7 +204,7 @@ def cmd_fig7(cfg: RunConfig) -> Table:
     n = cfg.raw["fig7.n_points"]
     lo = cfg.raw["fig7.omega_min_mhz"]
     hi = cfg.raw["fig7.omega_max_mhz"]
-    medium = cfg.model_medium
+    medium = cfg.medium
     factor = cfg.attenuation_factor()
     omegas_mhz = np.linspace(lo, hi, n)
     omegas = 2.0 * math.pi * omegas_mhz * 1e6
@@ -229,31 +222,26 @@ def cmd_fig7(cfg: RunConfig) -> Table:
 def cmd_fig8(cfg: RunConfig) -> Table:
     """Susceptibility versus two-photon detuning, exact and expanded."""
     n = cfg.raw["fig8.n_points"]
-    span_res = cfg.raw["fig8.span_resonant_mhz"]
-    span_det = cfg.raw["fig8.span_detuned_mhz"]
     delta_c_det = cfg.raw["fig8.delta_c_detuned_mhz"]
-    medium = cfg.model_medium
+    medium = cfg.medium
     omega_c = cfg.control.omega_c
     gamma = medium.gamma_total
     chi0_value = eit.chi0(omega_c, medium, medium.peak_density)
-    field_res = eit.ControlField(omega_c, 0.0)
-    field_det = eit.ControlField(omega_c, 2.0 * math.pi * delta_c_det * 1e6)
-    d_res = np.linspace(-span_res, span_res, n)
-    d_det = np.linspace(-span_det, span_det, n)
-    dr = 2.0 * math.pi * d_res * 1e6
-    dd = 2.0 * math.pi * d_det * 1e6
-    exact_r = eit.susceptibility(dr, field_res, chi0_value, gamma)
-    approx_r = eit.susceptibility_approx(dr, omega_c, chi0_value, gamma)
-    exact_d = eit.susceptibility(dd, field_det, chi0_value, gamma)
-    approx_d = eit.susceptibility_approx(dd, omega_c, chi0_value, gamma)
-    rows = list(zip(d_res, exact_r.re, exact_r.im, approx_r.re, approx_r.im,
-                    d_det, exact_d.re, exact_d.im, approx_d.re, approx_d.im))
+    columns = []
+    for span, delta_c in ((cfg.raw["fig8.span_resonant_mhz"], 0.0),
+                          (cfg.raw["fig8.span_detuned_mhz"], delta_c_det)):
+        d_mhz = np.linspace(-span, span, n)
+        d = 2.0 * math.pi * d_mhz * 1e6
+        field = eit.ControlField(omega_c, 2.0 * math.pi * delta_c * 1e6)
+        exact = eit.susceptibility(d, field, chi0_value, gamma)
+        approx = eit.susceptibility_approx(d, omega_c, chi0_value, gamma)
+        columns += [d_mhz, exact.re, exact.im, approx.re, approx.im]
     return Table(
         header=["delta2_resonant_mhz", "re_chi_resonant", "im_chi_resonant",
                 "re_chi_approx_resonant", "im_chi_approx_resonant",
                 "delta2_detuned_mhz", "re_chi_detuned", "im_chi_detuned",
                 "re_chi_approx_detuned", "im_chi_approx_detuned"],
-        rows=rows,
+        rows=list(zip(*columns)),
         extra_metadata=[f"chi0 = {chi0_value:.9f}",
                         f"delta_c_detuned_mhz = {delta_c_det:g}"])
 
@@ -299,7 +287,7 @@ def cmd_optimize(cfg: RunConfig) -> Table:
     hi = cfg.raw["optimize.omega_max_mhz"]
     grid = cfg.raw["optimize.grid"]
     averaged = cfg.raw["optimize.averaged"]
-    medium = cfg.model_medium
+    medium = cfg.medium
     result = eff.optimize_eta(
         medium, cfg.pulse,
         omega_bounds=(2.0 * math.pi * lo * 1e6, 2.0 * math.pi * hi * 1e6),

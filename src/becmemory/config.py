@@ -180,8 +180,7 @@ class RunConfig:
     """Unit-converted model objects of a configuration; ``raw`` holds the
     typed, checked value of every key."""
 
-    medium: MediumParams
-    model_medium: MediumParams   # medium rescaled to a dp_target > 0
+    medium: MediumParams   # atom number rescaled to a dp_target > 0
     control: ControlField
     pulse: PulseParams
     noise: NoiseModel
@@ -243,14 +242,14 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         dp_target = raw["medium.dp_target"]
         try:
-            model_medium = medium.rescaled_to_depth(dp_target) \
-                if dp_target > 0 else medium
+            if dp_target > 0:
+                medium = medium.rescaled_to_depth(dp_target)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot rescale the atom number to "
                               f"medium.dp_target = {dp_target:g}: {exc}") \
                 from exc
-        return cls(medium=medium, model_medium=model_medium, control=control,
-                   pulse=pulse, noise=noise, raw=raw)
+        return cls(medium=medium, control=control, pulse=pulse, noise=noise,
+                   raw=raw)
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None,

@@ -16,8 +16,8 @@ import numpy as np
 
 from .constants import (BOLTZMANN, D1_WAVELENGTH, HBAR, RB87_MASS,
                         SPEED_OF_LIGHT)
-from .eit import (CompressionCheck, MediumParams, check_compression_condition,
-                  optical_depth, pulse_delay, transparency_width)
+from .eit import (MediumParams, optical_depth, pulse_delay,
+                  transparency_width)
 from .memory import damping_factor
 from .numerics import ERF_SATURATION, erf, gauss_legendre, i0e, quad
 
@@ -46,7 +46,6 @@ class EfficiencyResult:
     eta_comp: float
     eta_trans: float
     eta_total: float
-    compression: CompressionCheck | None
 
 
 def eta_comp(t0, tau_p, tau_d, transit=0.0):
@@ -98,23 +97,19 @@ def _eta_on_depth(d_p, omega_c, t0, tau_p: float, gamma: float,
 
 
 def eta_total(omega_c, pulse: PulseParams, medium: MediumParams,
-              x: float = 0.0, y: float = 0.0,
-              include_transit: bool = True) -> EfficiencyResult:
+              x=0.0, y=0.0, include_transit: bool = True) -> EfficiencyResult:
     """Single-cycle efficiency for the probe line through (x, y).
 
-    ``omega_c`` is a Rabi frequency in rad/s or an array of them (every
-    field then has its shape).  Outside the cloud the efficiency is zero by
-    definition.
+    ``omega_c`` (a Rabi frequency in rad/s), ``x`` and ``y`` broadcast, and
+    every field has their shape.  Outside the cloud the efficiency is zero
+    by definition.
     """
     d_p = optical_depth(medium, x, y)
     transit = medium.chord_length(x, y) / SPEED_OF_LIGHT if include_transit \
         else 0.0
     e_c, e_t = _factors(d_p, omega_c, pulse.t0, pulse.tau_p,
                         medium.gamma_total, transit)
-    compression = check_compression_condition(
-        pulse_delay(omega_c, d_p, medium.gamma_total), pulse.tau_p, d_p) \
-        if d_p > 0 else None
-    return EfficiencyResult(e_c, e_t, e_c * e_t, compression)
+    return EfficiencyResult(e_c, e_t, e_c * e_t)
 
 
 def _radial_weight(r, r_x: float, r_y: float, waist: float):
@@ -152,6 +147,10 @@ def transverse_average_eta(omega_c, pulse: PulseParams, medium: MediumParams):
     the analytic angular reduction, evaluated with adaptive quadrature for
     all Rabi frequencies at once; the beam has the pulse's waist.  The probe
     weight falling outside the cloud contributes zero efficiency.
+
+    Unlike the other kernels, a scalar call need not give the bits of its
+    element in an array call: quad refines one set of intervals for the
+    whole batch, so the two agree only to the quadrature tolerance.
     """
     omega_c = np.asarray(omega_c, float)[..., None]   # radial nodes last
 

@@ -64,7 +64,10 @@ class MediumParams:
     def _transverse_rest(self, x=0.0, y=0.0):
         """1 - x^2/Rx^2 - y^2/Ry^2 at offset (x, y), clipped at 0 outside
         the transverse ellipse; x and y broadcast."""
-        return np.maximum(1.0 - (x / self.r_x)**2 - (y / self.r_y)**2, 0.0)
+        # np.square, not **: a scalar's ** is libm's pow, which can round
+        # differently from the array loop that a scalar call must match
+        return np.maximum(
+            1.0 - np.square(x / self.r_x) - np.square(y / self.r_y), 0.0)
 
     def chord_length(self, x=0.0, y=0.0):
         """Probe path length through the cloud at offset (x, y); broadcasts."""
@@ -130,7 +133,9 @@ def susceptibility(delta2, field: ControlField, chi0_value: float,
     num = chi0_value * 2.0 * delta2 * gamma
     den = (field.omega_c**2 - 4.0 * delta2 * (field.delta_c + delta2)) \
         - 2j * delta2 * gamma
-    value = num / den
+    # np.divide, not /: Python's complex division can round differently
+    # from numpy's, which a scalar call must match
+    value = np.divide(num, den)
     return Susceptibility(value.real, value.imag)
 
 
@@ -142,7 +147,7 @@ def susceptibility_approx(delta2, omega_c: float, chi0_value: float,
     may be an array.
     """
     slope = 2.0 * gamma / omega_c**2 * delta2
-    return Susceptibility(chi0_value * slope, chi0_value * slope**2)
+    return Susceptibility(chi0_value * slope, chi0_value * np.square(slope))
 
 
 def optical_depth(medium: MediumParams, x=0.0, y=0.0):

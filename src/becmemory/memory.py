@@ -84,10 +84,12 @@ def faraday_frequency(bz):
     return 2.0 * math.pi * MU_B_OVER_H * G_F * DELTA_MF * bz
 
 
-def rotation_angle(t_store: float, tau_d: float, omega_f):
+def rotation_angle(t_store, tau_d: float, omega_f):
     """Total rotation angle during storage plus the slow-light delay;
-    ``omega_f`` broadcasts."""
-    if t_store < 0 or tau_d < 0:
+    ``t_store`` and ``omega_f`` broadcast."""
+    # count_nonzero, not np.any: sample_shots calls this once per point,
+    # and np.any costs ~6 us on a scalar against ~1 us
+    if np.count_nonzero(t_store < 0) or tau_d < 0:
         raise ValueError("t_store and tau_d must be >= 0")
     return omega_f * (t_store + tau_d)
 
@@ -148,10 +150,10 @@ def average_process_fidelity(alpha: float) -> float:
     return (2.0 + alpha) / 3.0
 
 
-def s1_trace(t_store: float, sigma_alpha: float, phi: float,
-             phi0: float) -> float:
-    """Ensemble-averaged s1/s0 for a linear input: damped cosine of phi - phi0."""
-    return damping_factor(t_store, sigma_alpha) * math.cos(phi - phi0)
+def s1_trace(t_store, sigma_alpha: float, phi, phi0: float):
+    """Ensemble-averaged s1/s0 for a linear input: damped cosine of phi - phi0;
+    ``t_store`` and ``phi`` broadcast."""
+    return damping_factor(t_store, sigma_alpha) * np.cos(phi - phi0)
 
 
 def sample_shots(u_in: PoincareVector, t_store: float, tau_d: float,

@@ -26,7 +26,7 @@ class TestConfigParsing:
                         "\n"
                         "pulse.tau_p_ns = 100\n")
         cfg = load_config(str(path))
-        assert cfg.medium.atom_number == 2e6
+        assert cfg.raw["medium.atom_number"] == 2e6
         assert cfg.noise.preset == "feed-forward"
         assert cfg.pulse.tau_p == pytest.approx(100e-9)
 
@@ -61,7 +61,7 @@ class TestConfigParsing:
 
 class TestRunConfig:
     def test_defaults_are_reference_values(self, cfg):
-        assert cfg.medium.atom_number == 1.2e6
+        assert cfg.raw["medium.atom_number"] == 1.2e6
         assert cfg.medium.r_x == pytest.approx(7e-6)
         assert cfg.medium.r_y == pytest.approx(25e-6)
         assert cfg.medium.r_z == pytest.approx(25e-6)
@@ -101,10 +101,9 @@ class TestRunConfig:
 
     def test_dp_target_rescaling(self, cfg):
         from becmemory.eit import optical_depth
-        assert optical_depth(cfg.model_medium) == pytest.approx(127.0,
-                                                                rel=1e-12)
+        assert optical_depth(cfg.medium) == pytest.approx(127.0, rel=1e-12)
         raw = RunConfig.from_mapping({"medium.dp_target": 0.0})
-        assert optical_depth(raw.model_medium) == pytest.approx(
+        assert optical_depth(raw.medium) == pytest.approx(
             137.2232594818897, rel=1e-12)
 
     def test_attenuation_factor(self):

@@ -53,6 +53,8 @@ class TestRotationAngle:
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):
             rotation_angle(-1e-6, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            rotation_angle(np.array([0.0, -1e-6]), 0.0, 1.0)
 
 
 class TestMemoryMueller:
@@ -258,6 +260,19 @@ class TestS1Trace:
             out = apply_mueller(m, s_in)
             assert s1_trace(t, sigma, phi, phi0) == pytest.approx(
                 out.s1 / out.s0, rel=1e-12, abs=1e-12)
+
+    def test_time_arrays_match_scalar_calls(self):
+        # fig3's model column is one call over its grid; each element is
+        # the scalar call's bits
+        t = np.linspace(0.0, 60e-6, 241)
+        omega_f = TWO_PI * 0.20e6
+        phi = rotation_angle(t, 550e-9, omega_f)
+        trace = s1_trace(t, 1.1e-3, phi, 0.3)
+        assert trace.shape == t.shape
+        for k, tk in enumerate(t):
+            phi_k = rotation_angle(float(tk), 550e-9, omega_f)
+            assert phi_k == phi[k], k
+            assert s1_trace(float(tk), 1.1e-3, phi_k, 0.3) == trace[k], k
 
 
 class TestNoiseModel:

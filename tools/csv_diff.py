@@ -6,13 +6,16 @@ Usage (from anywhere inside the repository):
 
 Each revision is checked out into its own temporary clone, as
 ``tools/bench_pairs.py`` does.  Both run ``python -m becmemory.cli`` from
-their own ``src`` on the same 121 inputs: every parameter set of
+their own ``src`` on the same 125 inputs: every parameter set of
 perfbench's two CLI workloads (9 command variants x 12 sets, read from
 ``perfbench/workloads.py``), each variant once with its defaults (fig3
-to fig8, tomography, and optimize averaged and on axis), and four runs
-with the detector noise off (``detector.relative_sigma=0``), which no
-parameter set does: tomography with exact states, with 3 x 300 shots and
-with attenuation on at sigma_B = 0, and fig4.  The parameter
+to fig8, tomography, and optimize averaged and on axis), and eight runs
+of paths that no parameter set takes.  Four have the detector noise off
+(``detector.relative_sigma=0``): tomography with exact states, with
+3 x 300 shots and with attenuation on at sigma_B = 0, and fig4.  Four add
+the slow-light delay to the rotation angle
+(``rotation.include_pulse_delay=true``): fig3, fig4, and tomography with
+exact states and with 3 x 300 shots.  The parameter
 sets, ``perfbench/checks.py`` and ``perfbench/reference.json`` are read
 from PARENT's clone and never written.
 
@@ -39,17 +42,21 @@ from bench_pairs import checkout, git
 CLI_WORKLOADS = ("cli-short", "cli-efficiency")
 DEFAULTS = {"optimize-on-axis": ["optimize", "--set",
                                  "optimize.averaged=false"]}
-# runs with the detector noise off: label -> argv
+# runs of paths no parameter set takes: label -> argv
 NOISELESS = ["--set", "detector.relative_sigma=0"]
-NOISELESS_RUNS = {
+DELAY = ["--set", "rotation.include_pulse_delay=true"]
+SHOTS = ["--set", "tomography.shots=300", "--set", "tomography.repeats=3"]
+EXTRA_RUNS = {
     "tomography/noiseless": ["tomography", *NOISELESS],
-    "tomography/noiseless-shots": [
-        "tomography", *NOISELESS, "--set", "tomography.shots=300",
-        "--set", "tomography.repeats=3"],
+    "tomography/noiseless-shots": ["tomography", *NOISELESS, *SHOTS],
     "tomography/noiseless-attenuated": [
         "tomography", *NOISELESS, "--set", "attenuation.enabled=true",
         "--set", "noise.preset=custom", "--set", "noise.sigma_b_mg=0"],
     "fig4/noiseless": ["fig4", *NOISELESS],
+    "fig3/pulse-delay": ["fig3", *DELAY],
+    "fig4/pulse-delay": ["fig4", *DELAY],
+    "tomography/pulse-delay": ["tomography", *DELAY],
+    "tomography/pulse-delay-shots": ["tomography", *DELAY, *SHOTS],
 }
 
 
@@ -61,7 +68,7 @@ def inputs(workloads):
     runs += [(f"{v}/default", v, None, DEFAULTS.get(v, [v]))
              for v in variants]
     return runs + [(label, label.split("/")[0], None, argv)
-                   for label, argv in NOISELESS_RUNS.items()]
+                   for label, argv in EXTRA_RUNS.items()]
 
 
 def run_cli(tree, argv, cwd):
