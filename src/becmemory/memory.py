@@ -87,8 +87,8 @@ def faraday_frequency(bz):
 def rotation_angle(t_store, tau_d: float, omega_f):
     """Total rotation angle during storage plus the slow-light delay;
     ``t_store`` and ``omega_f`` broadcast."""
-    # count_nonzero, not np.any: sample_shots calls this once per point,
-    # and np.any costs ~6 us on a scalar against ~1 us
+    # count_nonzero, not np.any, which costs several times as much on a
+    # scalar: sample_shots calls this once per sample point
     if np.count_nonzero(t_store < 0) or tau_d < 0:
         raise ValueError("t_store and tau_d must be >= 0")
     return omega_f * (t_store + tau_d)
