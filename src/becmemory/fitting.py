@@ -3,47 +3,48 @@
 Three fit shapes cover the measured quantities: a Gaussian-damped sinusoid
 for Faraday-rotation traces, a Gaussian decay for damping and efficiency
 lifetimes, and a two-parameter rescaling of a tabulated reference curve for
-comparing measured efficiencies against the model prediction.  The minimizer
-is damped least squares; standard errors come from the scaled inverse
+comparing measured efficiencies against the model prediction.  Every fit
+runs one numpy Levenberg-Marquardt loop, ``least_squares``, so none loads
+``scipy.optimize``; standard errors come from the scaled inverse
 Gauss-Newton normal matrix at the optimum.
 
-The sinusoid fit gives ``least_squares`` its analytic Jacobian and runs a
-numpy Levenberg-Marquardt loop, so it loads no scipy; its standard errors
-come from that Jacobian, within ~3e-7 of the former 2-point one.  The
-Gaussian decay (fig4) and the scaled model still run scipy's ``trf`` with a
-2-point Jacobian: perfbench's fig4 reference records that solver's bias, so
-they move only once the reference is re-derived (ROADMAP item 1).
+The sinusoid and the scaled model give the loop their analytic Jacobians.
+The Gaussian decay (fig4) gives it none and gets scipy's 2-point one:
+perfbench's fig4 reference records that Jacobian's bias, so the fit moves
+to an exact one only once the reference is re-derived (ROADMAP item 1).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 
-# Tolerance of both solvers on the step, the decrease and the gradient.
+# Tolerance of the solver on the step, the decrease and the gradient.
 LSQ_TOL = 1e-13
 
 
-def least_squares(fun, x0, jac=None, bounds=(-np.inf, np.inf), max_nfev=2000):
-    """Minimize sum(fun(x)**2) from ``x0``; perfbench's tracer counts the
-    result's ``nfev`` by this name.
+def least_squares(fun, x0, jac=None, max_nfev=2000):
+    """Minimize sum(fun(x)**2) from ``x0`` by the unbounded numpy
+    Levenberg-Marquardt loop ``_levenberg_marquardt``; perfbench's tracer
+    counts the result's ``nfev`` by this name.
 
-    With ``jac``, the Jacobian of ``fun``, it is the unbounded numpy
-    Levenberg-Marquardt loop ``_levenberg_marquardt``.  Without it, it is
-    scipy's bounded ``trf`` with a 2-point Jacobian, imported on first call
-    so that importing this module loads no scipy; only
-    ``fit_gaussian_decay`` and ``fit_scaled_model`` take this branch, and
-    it goes when their analytic Jacobians replace it (ROADMAP item 1).
-    Either way the result has ``x``, ``fun``, ``jac``, ``nfev`` and
+    ``jac`` is the Jacobian of ``fun``.  Without it, column i is scipy's
+    2-point forward difference: x_i steps by sqrt(eps) max(1, |x_i|), with
+    x_i's sign (+ at 0), and the difference is divided by the step as
+    rounded.  ``nfev`` counts no evaluation of this Jacobian, as scipy's
+    does not.  The result has ``x``, ``fun``, ``jac``, ``nfev`` and
     ``status``, which is > 0 on convergence and 0 when ``max_nfev`` ran out.
     """
-    if jac is not None:
-        return _levenberg_marquardt(fun, jac, x0, max_nfev)
-    from scipy.optimize import least_squares as trf
-    return trf(fun, x0, bounds=bounds, method="trf", xtol=LSQ_TOL,
-               ftol=LSQ_TOL, gtol=LSQ_TOL, max_nfev=max_nfev)
+    if jac is None:
+        def jac(x):
+            r = fun(x)
+            h = np.where(x >= 0, 1.0, -1.0) * math.sqrt(np.finfo(float).eps) \
+                * np.maximum(1.0, np.abs(x))
+            return np.column_stack([fun(x + step) - r
+                                    for step in np.diag(h)]) / ((x + h) - x)
+    return _levenberg_marquardt(fun, jac, x0, max_nfev)
 
 
 # Floor of the Levenberg-Marquardt parameter: it damps a step by a part in
@@ -150,11 +151,9 @@ class FitResult:
     message: str = ""
 
 
-def _finish(names, data: DataSeries, model, p0, bounds=(-np.inf, np.inf),
-            jacobian=None) -> FitResult:
-    """Fit ``model(p, x)`` to ``data`` from ``p0``: with ``jacobian(p, x)``,
-    its analytic Jacobian, unbounded by ``least_squares``' numpy loop, and
-    without it within ``bounds`` by scipy's."""
+def _finish(names, data: DataSeries, model, p0, jacobian=None) -> FitResult:
+    """Fit ``model(p, x)`` to ``data`` from ``p0`` by ``least_squares``,
+    with ``jacobian(p, x)``, the model's Jacobian, when given."""
     weights = 1.0 / data.sigma_y if data.sigma_y is not None else 1.0
 
     def residuals(p):
@@ -164,8 +163,7 @@ def _finish(names, data: DataSeries, model, p0, bounds=(-np.inf, np.inf),
         return jacobian(p, data.x) * np.reshape(weights, (-1, 1))
 
     result = least_squares(residuals, p0,
-                           None if jacobian is None else weighted_jacobian,
-                           bounds)
+                           None if jacobian is None else weighted_jacobian)
     converged = result.status > 0
     dof = max(data.n - len(p0), 1)
     chi2 = float(result.fun @ result.fun) / dof
@@ -415,32 +413,50 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
                      result.message)
 
 
-def fit_gaussian_decay(data: DataSeries, init: dict | None = None) -> FitResult:
-    """Fit y = A exp(-x^2 / 2 sigma^2) to a decay trace."""
+def fit_gaussian_decay(data: DataSeries) -> FitResult:
+    """Fit y = A exp(-x^2 / 2 sigma^2) to a decay trace.
+
+    The model is even in sigma, so the unbounded optimum folds to |sigma|.
+    The fit reports no convergence when the data resolve no decay: when
+    kappa = 1/(2 sigma^2) lies within one standard error of 0, which is
+    when sigma's standard error is at least half of sigma.
+    """
     if data.n < 3:
         raise ValueError("need at least 3 points")
     if _flat(data.y):
         return FitResult({}, {}, math.nan, False,
                          "non-identifiable: constant data leave sigma free")
-    init = init or {}
-    amp0 = float(init.get("amplitude", np.max(np.abs(data.y))))
-    sigma0 = float(init.get("sigma", _second_moment_width(data.x, data.y)))
-    sigma_floor = 1e-9 * max(float(np.max(np.abs(data.x))), 1e-30)
 
     def model(p, x):
         amp, sigma = p
         return amp * np.exp(-x**2 / (2.0 * sigma**2))
 
-    return _finish(("amplitude", "sigma"), data, model, [amp0, sigma0],
-                   ([-np.inf, sigma_floor], [np.inf, np.inf]))
+    fit = _finish(("amplitude", "sigma"), data, model,
+                  [float(np.max(np.abs(data.y))),
+                   _second_moment_width(data.x, data.y)])
+    fit = replace(fit, params=dict(fit.params, sigma=abs(fit.params["sigma"])))
+    if fit.converged and fit.std_errors["sigma"] >= 0.5 * fit.params["sigma"]:
+        return replace(fit, converged=False,
+                       message="the data resolve no decay")
+    return fit
+
+
+# Nodes of the grid over the s_omega bracket that starts the scaled model.
+SCALE_GRID = 65
 
 
 def fit_scaled_model(data: DataSeries, reference: DataSeries) -> FitResult:
     """Fit y = s_eta * curve(s_omega * x) against a tabulated reference.
 
-    The reference curve is interpolated with a monotone cubic; the abscissa
-    rescaling is constrained so every data point stays inside the tabulated
-    range, and an impossible coverage raises with the offending points.
+    The reference curve is interpolated with a monotone cubic, NaN off the
+    table.  s_omega stays in the bracket [s_lo, s_hi] that keeps every
+    rescaled data point on the table: an end whose product with the data
+    rounds past the table moves inward by an ulp, and an impossible
+    coverage raises with the offending points.  The fit starts from the
+    best of ``SCALE_GRID`` nodes over the bracket, with s_eta profiled out
+    in closed form at each (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
+    1973), and gives the solver the curve's derivative; as the solver
+    accepts no step to a NaN sum of squares, it never leaves the bracket.
     """
     from scipy.interpolate import PchipInterpolator
     if data.n < 2:
@@ -449,27 +465,35 @@ def fit_scaled_model(data: DataSeries, reference: DataSeries) -> FitResult:
         raise ValueError("scaled-model fit expects positive abscissas")
     order = np.argsort(reference.x)
     ref_x = reference.x[order]
-    ref_y = reference.y[order]
-    curve = PchipInterpolator(ref_x, ref_y, extrapolate=False)
+    curve = PchipInterpolator(ref_x, reference.y[order], extrapolate=False)
+    slope = curve.derivative()
 
-    s_lo = float(ref_x[0] / data.x.min())
-    s_hi = float(ref_x[-1] / data.x.max())
+    x_min, x_max = float(data.x.min()), float(data.x.max())
+    s_lo, s_hi = float(ref_x[0] / x_min), float(ref_x[-1] / x_max)
+    while s_lo * x_min < ref_x[0]:
+        s_lo = math.nextafter(s_lo, math.inf)
+    while s_hi * x_max > ref_x[-1]:
+        s_hi = math.nextafter(s_hi, -math.inf)
     if s_lo > s_hi:
-        offending = [float(v) for v in
-                     (data.x.min(), data.x.max())]
         raise ValueError(
             "reference curve cannot cover the rescaled abscissas; "
-            f"conflicting data points at x = {offending}")
+            f"conflicting data points at x = {[x_min, x_max]}")
 
-    peak_ref = float(ref_x[np.argmax(ref_y)])
-    peak_data = float(data.x[np.argmax(data.y)])
-    s_omega0 = min(max(peak_ref / peak_data, s_lo), s_hi)
-    ref_peak = float(np.max(np.abs(ref_y)))
-    s_eta0 = float(np.max(np.abs(data.y)) / ref_peak) if ref_peak > 0 else 1.0
+    weights = 1.0 / data.sigma_y if data.sigma_y is not None else 1.0
+    grid = np.linspace(s_lo, s_hi, SCALE_GRID)
+    columns = curve(grid[:, None] * data.x) * weights
+    cy = np.einsum("gn,n->g", columns, data.y * weights)
+    cc = np.einsum("gn,gn->g", columns, columns)
+    best = int(np.nanargmax(cy**2 / cc))
 
     def model(p, x):
         s_eta, s_omega = p
         return s_eta * curve(s_omega * x)
 
-    return _finish(("s_eta", "s_omega"), data, model, [s_eta0, s_omega0],
-                   ([-np.inf, s_lo], [np.inf, s_hi]))
+    def jacobian(p, x):
+        s_eta, s_omega = p
+        return np.column_stack([curve(s_omega * x),
+                                s_eta * slope(s_omega * x) * x])
+
+    return _finish(("s_eta", "s_omega"), data, model,
+                   [cy[best] / cc[best], grid[best]], jacobian)

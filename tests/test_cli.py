@@ -210,6 +210,14 @@ class TestCommandLine:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("factor", ["1e-9", "1e-4"])
+    def test_unresolved_decay_exit_code(self, capsys, factor):
+        # a span so short that alpha(t) hardly falls: sigma's standard
+        # error exceeds half of sigma, so the fit resolves no decay
+        assert main(["fig4", "--set",
+                     f"fig4.t_max_sigma_factor={factor}"]) == 3
+        assert "the data resolve no decay" in capsys.readouterr().err
+
     def test_non_finite_table_exit_code(self, capsys, tmp_path):
         # a finite but huge depth target overflows the susceptibility
         out = tmp_path / "fig8.csv"
