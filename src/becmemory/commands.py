@@ -8,6 +8,8 @@ susceptibility, a full synthetic process tomography, and the 2-D efficiency
 optimization.  Identical (config, seed) pairs yield byte-identical tables.
 """
 
+from __future__ import annotations
+
 import math
 import warnings
 from dataclasses import dataclass, field

@@ -77,7 +77,7 @@ SCHEMA = {
     "noise.sigma_b_mg": (-1.0, None),
     # synthetic detector statistics
     "detector.relative_sigma": (0.02, NON_NEGATIVE),
-    "detector.background": (0.0, None),
+    "detector.background": (0.0, NON_NEGATIVE),
     # include the slow-light delay in the Faraday rotation angle
     "rotation.include_pulse_delay": (False, None),
     # recorded detection-path transmissions, applied only when enabled

@@ -266,11 +266,12 @@ def _coarse_scan(x, ye, span):
     nodes = np.floor(u).astype(np.intp)[:, None] + np.arange(-1, 3)
     grid = np.zeros(n_fft)
     np.add.at(grid, nodes, weights * ye[:, None])
-    power = np.abs(np.fft.rfft(grid))**2
     bin_width = 1.0 / (n_fft * delta)
     first = math.ceil(0.25 / (span * bin_width))
     top = n_fft // (2 * refine)
-    return (first + int(np.argmax(power[first:top + 1]))) * bin_width
+    # square only the ranked bins: off the lattice that is half the spectrum
+    power = np.abs(np.fft.rfft(grid)[first:top + 1])**2
+    return (first + int(np.argmax(power))) * bin_width
 
 
 def _zoom(x, ye, e2, best, step):

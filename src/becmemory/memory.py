@@ -7,6 +7,8 @@ shot-to-shot fluctuations of the hold field: each shot is unitary (alpha = 1)
 with a random rotation angle, and only the ensemble average dephases.
 """
 
+from __future__ import annotations
+
 import math
 import warnings
 from dataclasses import dataclass

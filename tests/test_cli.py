@@ -387,8 +387,7 @@ class TestCommandLine:
         assert 0.0 < stats["avg_fidelity_std"] < 0.05
         assert stats["avg_fidelity_mean"] == pytest.approx(1.0, abs=0.02)
 
-    @pytest.mark.parametrize("setting", ["detector.relative_sigma=0.8",
-                                         "detector.background=-0.01"])
+    @pytest.mark.parametrize("setting", ["detector.relative_sigma=0.8"])
     def test_tomography_readings_clipped_at_zero(self, setting, tmp_path):
         out = tmp_path / "tomo.csv"
         assert main(["tomography", "--out", str(out), "--set", setting,
@@ -397,6 +396,16 @@ class TestCommandLine:
         readings = column(header, rows, "i_plus") \
             + column(header, rows, "i_minus")
         assert min(readings) == 0.0
+
+    @pytest.mark.parametrize("command", ["fig4", "tomography"])
+    @pytest.mark.parametrize("background", ["-0.01", "-1"])
+    def test_negative_background_exit_code(self, command, background,
+                                           capsys):
+        # readings add the background and nothing subtracts it, so a
+        # negative one is a dark-level subtraction the model does not have
+        assert main([command, "--set",
+                     f"detector.background={background}"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_warnings_print_as_one_line_messages(self, capsys, tmp_path):
         out = tmp_path / "tomo.csv"

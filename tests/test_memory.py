@@ -383,3 +383,10 @@ class TestDetectorNoise:
     def test_zero_stays_zero(self, rng):
         values = apply_detector_noise(np.zeros(100), rng, 0.02, 0.0)
         assert np.all(values == 0.0)
+
+    def test_negative_background_clips_at_zero(self, rng):
+        # the library still takes a dark-level offset below zero; readings
+        # it would push negative read 0
+        values = apply_detector_noise(np.array([0.0, 0.5, 2.0]), rng,
+                                      0.0, -1.0)
+        np.testing.assert_array_equal(values, [0.0, 0.0, 1.0])

@@ -9,12 +9,16 @@ side's median and interquartile range over its runs, the ratio of the
 medians (change / parent), and in how many pairs the change was better,
 by the direction ``BENCHMARK.json`` at the repository root gives the
 metric.  For a metric in s or 1/s it also prints the median over pairs of
-the pair's ratio over (s) or times (1/s) the same pair's ``setup_s`` ratio:
-``setup_s`` times ``import becmemory``, which a change to the commands
-cannot move, so this ratio discounts a host that was slower for one run
-of the pair.  A
-run that exited non-zero or reported ``correct: false`` is listed and left
-out of the statistics.
+the pair's ratio over (s) or times (1/s) the same pair's ``setup_s`` ratio.
+``setup_s`` times interpreter start and ``import becmemory``, so this ratio
+discounts a host that was slower for one run of the pair, but only for a
+change that leaves start-up alone: a change to the imports moves
+``setup_s`` itself, and the ratio then discounts the change's own effect.
+So when the two sides' ``setup_s`` medians differ by more than the
+parent's interquartile range, a warning under the workload's heading says
+so, and its ``/setup`` column should not be read.  A run that exited
+non-zero or reported ``correct: false`` is listed and left out of the
+statistics.
 """
 
 import json
@@ -86,6 +90,13 @@ def main(argv=None):
             if both else []
         width = max(map(len, names), default=6)
         print(f"\n{workload} (trace {trace}): {len(both)} complete pairs")
+        if "setup_s" in names:
+            q1, parent, q3 = quartiles([p["parent"]["setup_s"] for p in both])
+            change = statistics.median(p["change"]["setup_s"] for p in both)
+            if abs(change - parent) > q3 - q1:
+                print(f"  warning: setup_s moved {parent:.4g} -> "
+                      f"{change:.4g} s, more than the parent's IQR "
+                      f"{q3 - q1:.4g} s; the /setup ratios discount it")
         print(f"  {'metric':<{width}} {'parent median [IQR]':>34} "
               f"{'change median [IQR]':>34} {'ratio':>6} {'/setup':>6} "
               f"{'better':>7}")
