@@ -8,7 +8,7 @@ susceptibility, a full synthetic process tomography, and the 2-D efficiency
 optimization.  Identical (config, seed) pairs yield byte-identical tables.
 """
 
-from __future__ import annotations
+from __future__ import annotations  # np.random annotations load nothing
 
 import math
 import warnings

@@ -7,7 +7,7 @@ shot-to-shot fluctuations of the hold field: each shot is unitary (alpha = 1)
 with a random rotation angle, and only the ensemble average dephases.
 """
 
-from __future__ import annotations
+from __future__ import annotations  # np.random annotations load nothing
 
 import math
 import warnings

@@ -400,10 +400,10 @@ class TestCommandLine:
     @pytest.mark.parametrize("command", ["fig4", "tomography"])
     @pytest.mark.parametrize("background", ["-0.01", "-1"])
     def test_negative_background_exit_code(self, command, background,
-                                           capsys):
+                                           capsys, tmp_path):
         # readings add the background and nothing subtracts it, so a
         # negative one is a dark-level subtraction the model does not have
-        assert main([command, "--set",
+        assert main([command, "--out", str(tmp_path / "out.csv"), "--set",
                      f"detector.background={background}"]) == 2
         assert "config error" in capsys.readouterr().err
 
