@@ -191,6 +191,14 @@ GRAM_RTOL = 1e-12
 # to which the golden-section search narrows the bracket around the best.
 ZOOM_POINTS = 17
 ZOOM_XTOL = 1e-7
+# Past ZOOM_XTOL steps the search goes on while its two inner values differ
+# by more than ZOOM_FTOL of the larger, down to a bracket ZOOM_XMIN of the
+# frequency wide, a few dozen ulps.  At a smooth peak the values agree by
+# then.  At the edge of the band around a lattice's Nyquist frequency,
+# where the sine term is dropped, the variance jumps, and the largest value
+# lies at the edge itself, which the bracket then narrows onto.
+ZOOM_FTOL = 1e-12
+ZOOM_XMIN = 1e-14
 GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
@@ -279,9 +287,10 @@ def _zoom(x, ye, e2, best, step):
 
     ``ZOOM_POINTS`` evenly spaced frequencies rank the window; a
     golden-section search (Brent 1973, ch. 5) then narrows the bracket
-    between the best node's neighbours to ``ZOOM_XTOL`` steps.  At an edge
-    node the bracket reaches one spacing past the window, where the peak
-    then lies.
+    between the best node's neighbours to ``ZOOM_XTOL`` steps, and further
+    while the values at its two inner points differ by more than
+    ``ZOOM_FTOL`` (see there).  At an edge node the bracket reaches one
+    spacing past the window, where the peak then lies.
     """
     freqs = np.linspace(max(best - 2.0 * step, 0.0), best + 2.0 * step,
                         ZOOM_POINTS)
@@ -294,7 +303,9 @@ def _zoom(x, ye, e2, best, step):
 
     inner = [hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)]
     vals = [explained(f) for f in inner]
-    while hi - lo > ZOOM_XTOL * step:
+    while hi - lo > ZOOM_XTOL * step or (
+            abs(vals[0] - vals[1]) > ZOOM_FTOL * max(vals)
+            and hi - lo > ZOOM_XMIN * hi):
         if vals[0] >= vals[1]:
             hi = inner[1]
             inner = [hi - GOLDEN * (hi - lo), inner[0]]

@@ -393,6 +393,12 @@ class TestFrequencyScan:
              jitter=0.21875)
     @example(seed=218362, n_sites=16, offset=0.0, delta=1.0, damped=False,
              jitter=0.3125)
+    # Both scans pick the Nyquist alias of 11 samples, whose largest value
+    # lies at the edge of the band where the sine term is dropped; the
+    # direct scan's finer step zoomed 7e-8 Hz closer to it and explained
+    # 1e-8 more until the zoom narrowed onto the edge by value.
+    @example(seed=600, n_sites=16, offset=834.96875, delta=0.001, damped=True,
+             jitter=0.0)
     @given(**ORACLE_TRACES)
     def test_lattice_scan_explains_as_much_as_direct_scan(
             self, seed, n_sites, offset, delta, damped, jitter):
