@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success; 2 for any bad configuration (unknown key,
 malformed, non-finite, out-of-range or inconsistent value, unreadable
-config file, unwritable output file); 3 only for numerical failures
-(non-convergent fits, singular reconstructions, a non-finite value in the
-output table).  Each warning raised during a run is printed to stderr as
-one ``becmem: warning:`` line.
+config file, unwritable output file, sizes too large to allocate); 3 only
+for numerical failures (non-convergent fits, singular reconstructions, a
+non-finite value in the output table).  Each warning raised during a run
+is printed to stderr as one ``becmem: warning:`` line.
 """
 
 import argparse
@@ -59,6 +59,8 @@ def main(argv=None) -> int:
                 raise ArithmeticError("non-finite value in the output table")
         except ConfigError as exc:
             failure = 2, f"config error: {exc}"
+        except MemoryError as exc:
+            failure = 2, f"config error: cannot allocate: {exc}"
         except (np.linalg.LinAlgError, ArithmeticError, RuntimeError,
                 ValueError) as exc:
             failure = 3, f"numerical failure: {exc}"

@@ -217,6 +217,11 @@ class RunConfig:
         if raw["optimize.omega_max_mhz"] < raw["optimize.omega_min_mhz"]:
             raise ConfigError("optimize.omega_max_mhz must be >= "
                               "optimize.omega_min_mhz")
+        fractions = parse_float_list(raw["fig6.condensate_fractions"])
+        if len({f"{fc:g}" for fc in fractions}) < len(fractions):
+            raise ConfigError("fig6.condensate_fractions must differ to 6 "
+                              "significant digits, as each names a column, "
+                              f"got {raw['fig6.condensate_fractions']!r}")
         try:
             medium = MediumParams(
                 atom_number=raw["medium.atom_number"],

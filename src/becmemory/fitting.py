@@ -23,19 +23,39 @@ import numpy as np
 
 # Tolerance of the solver on the step, the decrease and the gradient.
 LSQ_TOL = 1e-13
+# Floor of the Levenberg-Marquardt parameter: it damps a step by a part in
+# 1e12 at most, and keeps the damped system regular where a column is 0.
+LM_LAMBDA_MIN = 1e-12
 
 
 def least_squares(fun, x0, jac=None, max_nfev=2000):
-    """Minimize sum(fun(x)**2) from ``x0`` by the unbounded numpy
-    Levenberg-Marquardt loop ``_levenberg_marquardt``; perfbench's tracer
+    """Minimize sum(fun(x)**2) from ``x0`` by an unbounded numpy
+    Levenberg-Marquardt loop (More, LNM 630, 1978); perfbench's tracer
     counts the result's ``nfev`` by this name.
 
     ``jac`` is the Jacobian of ``fun``.  Without it, column i is scipy's
     2-point forward difference: x_i steps by sqrt(eps) max(1, |x_i|), with
     x_i's sign (+ at 0), and the difference is divided by the step as
     rounded.  ``nfev`` counts no evaluation of this Jacobian, as scipy's
-    does not.  The result has ``x``, ``fun``, ``jac``, ``nfev`` and
-    ``status``, which is > 0 on convergence and 0 when ``max_nfev`` ran out.
+    does not.
+
+    Each step solves (J^T J + lam D) s = -J^T r, D the largest diag(J^T J)
+    met so far.  lam follows Nielsen's rule (Madsen, Nielsen & Tingleff,
+    "Methods for non-linear least squares problems", 2004, eq. 2.21): after
+    a step that lowers the sum of squares it shrinks, by up to 3x and not
+    below ``LM_LAMBDA_MIN``, the closer the decrease came to the one the
+    linear model predicted; after each step that does not, it grows by a
+    factor that doubles each time, 2, 4, 8, ...
+    J^T J and J^T r are summed with ``einsum``, in the calling thread, as
+    ``_explained`` explains.
+
+    The result has ``x``, ``fun``, ``jac``, ``nfev`` and ``status``, which
+    follows scipy's: 1 when every column's cosine with the residual, its
+    norm taken as sqrt(D), is at most ``LSQ_TOL``; 2 when an accepted step
+    lowers the sum by at most ``LSQ_TOL`` of it, and by more than a quarter
+    of the decrease the linear model predicted; 3 when the step, scaled by
+    sqrt(D), is at most ``LSQ_TOL`` of the parameters so scaled; 0 when
+    ``max_nfev`` residual evaluations ran out.
     """
     if jac is None:
         def jac(x):
@@ -44,32 +64,6 @@ def least_squares(fun, x0, jac=None, max_nfev=2000):
                 * np.maximum(1.0, np.abs(x))
             return np.column_stack([fun(x + step) - r
                                     for step in np.diag(h)]) / ((x + h) - x)
-    return _levenberg_marquardt(fun, jac, x0, max_nfev)
-
-
-# Floor of the Levenberg-Marquardt parameter: it damps a step by a part in
-# 1e12 at most, and keeps the damped system regular where a column is 0.
-LM_LAMBDA_MIN = 1e-12
-
-
-def _levenberg_marquardt(fun, jac, x0, max_nfev):
-    """Levenberg-Marquardt (More, LNM 630, 1978): each step solves
-    (J^T J + lam D) s = -J^T r, D the largest diag(J^T J) met so far.
-    lam follows Nielsen's rule (Madsen, Nielsen & Tingleff, "Methods for
-    non-linear least squares problems", 2004, eq. 2.21): after a step that
-    lowers the sum of squares it shrinks, by up to 3x and not below
-    ``LM_LAMBDA_MIN``, the closer the decrease came to the one the linear
-    model predicted; after a step that does not, it grows by 2, 4, 8, ...
-
-    The status follows scipy's: 1 when every column's cosine with the
-    residual, its norm taken as sqrt(D), is at most ``LSQ_TOL``; 2 when an
-    accepted step lowers the sum by at most ``LSQ_TOL`` of it, and by more
-    than a quarter of the decrease the linear model predicted; 3 when the
-    step, scaled by sqrt(D), is at most ``LSQ_TOL`` of the parameters so
-    scaled; 0 when ``max_nfev`` residual evaluations ran out.  J^T J and
-    J^T r are summed with ``einsum``, in the calling thread, as
-    ``_explained`` explains.
-    """
     x = np.array(x0, dtype=float)
     r, jacobian = fun(x), jac(x)
     cost, lam, nu, nfev, status = float(r @ r), 1e-3, 2.0, 1, 0
@@ -77,16 +71,17 @@ def _levenberg_marquardt(fun, jac, x0, max_nfev):
     while nfev < max_nfev:
         a = np.einsum("ni,nj->ij", jacobian, jacobian)
         g = np.einsum("ni,n->i", jacobian, r)
-        # D keeps a column that fades out, as sigma's does when the data
-        # define no finite sigma, from making the damped system singular
+        # D keeps a column that fades out, as fig4's sigma column does when
+        # the data resolve no decay, from making the damped system singular
         d = np.maximum(d, np.diag(a))
         if np.all(np.abs(g) <= LSQ_TOL * np.sqrt(d * cost)):
             status = 1
             break
         step = np.linalg.solve(a + lam * np.diag(d), -g)
-        trial = fun(x + step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = fun(x + step)   # an overflowing step is rejected below
+            trial_cost = float(trial @ trial)
         nfev += 1
-        trial_cost = float(trial @ trial)
         small = np.linalg.norm(np.sqrt(d) * step) \
             <= LSQ_TOL * np.linalg.norm(np.sqrt(d) * x)
         if trial_cost < cost:
@@ -346,10 +341,7 @@ def _dominant_frequency(x, y, envelope) -> float:
 def _second_moment_width(x, y) -> float:
     """Envelope width estimate from the y^2-weighted second moment of x."""
     w = y**2
-    total = w.sum()
-    if total <= 0:
-        return float(np.max(np.abs(x))) or 1.0
-    m2 = float((w * x**2).sum() / total)
+    m2 = float((w * x**2).sum() / w.sum())
     return math.sqrt(2.0 * m2) if m2 > 0 else float(np.max(np.abs(x))) or 1.0
 
 
@@ -359,12 +351,15 @@ def _flat(y) -> bool:
 
 def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
                         undamped: bool = False) -> FitResult:
-    """Fit y = A exp(-x^2 / 2 sigma^2) cos(omega x - phi0).
+    """Fit y = A exp(-kappa x^2) cos(omega x - phi0), kappa = 1/(2 sigma^2).
 
-    With ``undamped`` the envelope is pinned to 1 (sigma fixed at infinity)
-    and only (A, omega, phi0) are fitted -- the short-time consistency check.
-    The frequency must be identifiable: the data should span at least one
-    oscillation period.  Constant data are flagged as non-identifiable.
+    kappa is unbounded; ``undamped`` pins it at 0, the undamped model, for
+    the short-time consistency check.  The result reports sigma_alpha =
+    1/sqrt(2 kappa), its error sigma^3 se(kappa) as d sigma / d kappa =
+    -sigma^3.  A fitted kappa <= 0 reports sigma = inf with error inf and
+    "no envelope resolved", and counts as converged; a pinned one reports
+    error 0.  The data should span at least one oscillation period;
+    constant data are flagged as non-identifiable.
     """
     n_params = 3 if undamped else 4
     if data.n < n_params:
@@ -373,10 +368,9 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
         return FitResult({}, {}, math.nan, False,
                          "non-identifiable: data have no variation")
     init = init or {}
-    sigma0 = float(init.get("sigma_alpha",
-                            _second_moment_width(data.x, data.y)))
-    envelope = np.exp(-data.x**2 / (2.0 * sigma0**2)) if not undamped \
-        else np.ones_like(data.x)
+    kappa0 = 0.0 if undamped else 0.5 / float(init.get(
+        "sigma_alpha", _second_moment_width(data.x, data.y)))**2
+    envelope = np.exp(-kappa0 * data.x**2)
     omega0 = float(init.get("omega_f",
                             _dominant_frequency(data.x, data.y, envelope)))
     # Phase and amplitude from a linear solve in (cos, sin) components.
@@ -387,42 +381,41 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
     phi00 = float(init.get("phi0", math.atan2(b, a)))
 
     def model(p, x):
-        # an undamped fit leaves sigma out of p; inf makes the envelope 1
-        amp, omega, phi0, sigma = (*p, math.inf)[:4]
-        return amp * np.exp(-x**2 / (2.0 * sigma**2)) \
-            * np.cos(omega * x - phi0)
+        # an undamped fit leaves kappa out of p, pinned at 0
+        amp, omega, phi0, kappa = (*p, 0.0)[:4]
+        return amp * np.exp(-kappa * x**2) * np.cos(omega * x - phi0)
 
     def jacobian(p, x):
-        amp, omega, phi0, sigma = (*p, math.inf)[:4]
-        e = np.exp(-x**2 / (2.0 * sigma**2))
+        amp, omega, phi0, kappa = (*p, 0.0)[:4]
+        e = np.exp(-kappa * x**2)
         phase = omega * x - phi0
         cos, sin = e * np.cos(phase), amp * e * np.sin(phase)
         return np.column_stack([cos, -sin * x, sin,
-                                amp * cos * x**2 / sigma**3][:len(p)])
+                                -amp * cos * x**2][:len(p)])
 
-    result = _finish(
-        ("amplitude", "omega_f", "phi0", "sigma_alpha")[:n_params], data,
-        model, [amp0, omega0, phi00, sigma0][:n_params], jacobian=jacobian)
-    # The model is unchanged by (A, phi0) -> (-A, phi0 + pi), by
-    # (omega, phi0) -> (-omega, -phi0) and by sigma -> -sigma, so the
-    # unbounded optimum folds back to A, omega, sigma >= 0 and |phi0| <= pi.
-    amp, omega, phi0 = (result.params[name]
-                        for name in ("amplitude", "omega_f", "phi0"))
+    names = ("amplitude", "omega_f", "phi0", "kappa")
+    fit = _finish(names[:n_params], data, model,
+                  [amp0, omega0, phi00, kappa0][:n_params], jacobian)
+    amp, omega, phi0, kappa = (fit.params.get(name, 0.0) for name in names)
+    # The model is unchanged by (A, phi0) -> (-A, phi0 + pi) and by
+    # (omega, phi0) -> (-omega, -phi0), so the unbounded optimum folds back
+    # to A, omega >= 0 and |phi0| <= pi.
     if amp < 0:
         amp, phi0 = -amp, phi0 + math.pi
     if omega < 0:
         omega, phi0 = -omega, -phi0
-    params = dict(result.params, amplitude=amp, omega_f=omega,
-                  phi0=math.remainder(phi0, 2.0 * math.pi))
-    errors = dict(result.std_errors)
-    if undamped:
-        params["sigma_alpha"] = math.inf
-        if errors:
-            errors["sigma_alpha"] = 0.0
-    else:
-        params["sigma_alpha"] = abs(params["sigma_alpha"])
-    return FitResult(params, errors, result.chi2_per_dof, result.converged,
-                     result.message)
+    sigma = 1.0 / math.sqrt(2.0 * kappa) if kappa > 0 else math.inf
+    errors, message = dict(fit.std_errors), fit.message
+    if errors and undamped:
+        errors["sigma_alpha"] = 0.0
+    elif errors:
+        se_kappa = errors.pop("kappa")
+        errors["sigma_alpha"] = sigma**3 * se_kappa if kappa > 0 else math.inf
+        message = "" if kappa > 0 else "no envelope resolved"
+    return FitResult(dict(amplitude=amp, omega_f=omega,
+                          phi0=math.remainder(phi0, 2.0 * math.pi),
+                          sigma_alpha=sigma),
+                     errors, fit.chi2_per_dof, fit.converged, message)
 
 
 def fit_gaussian_decay(data: DataSeries) -> FitResult:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from becmemory import cli
 from becmemory.cli import main
 from becmemory.config import (SCHEMA, ConfigError, RunConfig,
                               build_mapping, load_config, parse_config_text,
@@ -509,6 +510,29 @@ class TestCommandLine:
         assert lines[0].startswith(
             f"becmem: config error: cannot write output file {out}: ")
         assert not out.parent.exists()
+
+    def test_unallocatable_output_exit_code(self, monkeypatch, capsys):
+        # a size whose arrays the host cannot allocate is a bad
+        # configuration; the error is raised here without allocating, as a
+        # real attempt can end in the OOM killer on an overcommitting host
+        def unallocatable(cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array "
+                              "with shape (1000000000000,)")
+        monkeypatch.setitem(cli.COMMANDS, "fig8", unallocatable)
+        assert main(["fig8", "--set", "fig8.n_points=1000000000000"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("becmem: config error: cannot allocate")
+
+    @pytest.mark.parametrize("fractions", ["0.5,0.5", "0.3,0.3000001"])
+    def test_fig6_duplicate_columns_exit_code(self, fractions, capsys,
+                                              tmp_path):
+        # both fractions would name the column eta_fc_0.5 (eta_fc_0.3)
+        out = tmp_path / "fig6.csv"
+        assert main(["fig6", "--out", str(out), "--set",
+                     f"fig6.condensate_fractions={fractions}"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_attenuation_scales_fig5(self, tmp_path):
         plain = tmp_path / "plain.csv"

@@ -61,6 +61,43 @@ class TestDampedSinusoid:
         assert fit.params["sigma_alpha"] == math.inf
         assert fit.std_errors["sigma_alpha"] == 0.0
 
+    @pytest.mark.parametrize("seed", [3, 6, 7])
+    def test_noisy_undamped_cosine_converges(self, seed):
+        # no envelope under noise: sigma has no finite optimum on these
+        # traces, and kappa = 1/(2 sigma^2) has one at or near 0
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(0.0, 1.0, 100))
+        y = np.cos(TWO_PI * 5.0 * x) + 0.1 * rng.normal(size=100)
+        fit = fit_damped_sinusoid(DataSeries(x, y))
+        assert fit.converged
+        sigma = fit.params["sigma_alpha"]
+        assert sigma >= 10.0 * np.ptp(x)
+        if sigma == math.inf:
+            assert fit.std_errors["sigma_alpha"] == math.inf
+            assert fit.message == "no envelope resolved"
+        assert fit.params["omega_f"] == pytest.approx(TWO_PI * 5.0, rel=0.01)
+
+    def test_errors_match_the_sigma_parametrization(self):
+        # the fit solves for kappa and takes sigma's error through
+        # d sigma / d kappa = -sigma^3, which the scaled inverse
+        # Gauss-Newton matrix in (A, omega, phi0, sigma) must reproduce
+        rng = np.random.default_rng(11)
+        x = np.sort(rng.uniform(0.0, 1.0, 200))
+        y = damped_cos(x, 0.7, TWO_PI * 8.0, -1.1, 0.4) \
+            + 0.05 * rng.normal(size=200)
+        fit = fit_damped_sinusoid(DataSeries(x, y))
+        assert fit.converged and fit.message == ""
+        names = ("amplitude", "omega_f", "phi0", "sigma_alpha")
+        amp, omega, phi0, sigma = (fit.params[name] for name in names)
+        e = np.exp(-x**2 / (2.0 * sigma**2))
+        cos, sin = e * np.cos(omega * x - phi0), e * np.sin(omega * x - phi0)
+        jac = np.column_stack([cos, -amp * sin * x, amp * sin,
+                               amp * cos * x**2 / sigma**3])
+        cov = np.linalg.inv(jac.T @ jac) * fit.chi2_per_dof
+        for name, variance in zip(names, np.diag(cov)):
+            assert fit.std_errors[name] == pytest.approx(math.sqrt(variance),
+                                                         rel=1e-9)
+
     def test_constant_data_flagged(self):
         x = faraday_grid()
         fit = fit_damped_sinusoid(DataSeries(x, np.ones_like(x)))
@@ -445,7 +482,8 @@ def solver_calls():
 
 def fit_with_oracle(data, undamped):
     """The fit, and scipy's ``trf`` started from the fit's own start on its
-    own residuals: (fit, oracle's chi2/dof, oracle's |omega|, |sigma|)."""
+    own residuals: (fit, oracle's chi2/dof, oracle's |omega|, kappa), kappa
+    0 where the fit pins it."""
     with solver_calls() as calls:
         fit = fit_damped_sinusoid(data, undamped=undamped)
     fun, x0, _ = calls[0]
@@ -453,7 +491,7 @@ def fit_with_oracle(data, undamped):
                                  ftol=1e-13, gtol=1e-13, max_nfev=2000)
     dof = data.n - x0.size
     return (fit, float(oracle.fun @ oracle.fun) / dof, abs(oracle.x[1]),
-            abs(oracle.x[3]) if x0.size == 4 else 0.0)
+            oracle.x[3] if x0.size == 4 else 0.0)
 
 
 class TestSolver:
@@ -520,22 +558,27 @@ class TestSolver:
             self, seed, n, periods, width, noise, undamped, weighted):
         data = solver_trace(seed, n, periods, width, noise, undamped,
                             weighted)
-        fit, oracle_chi2, oracle_omega, oracle_sigma = fit_with_oracle(
+        fit, oracle_chi2, oracle_omega, oracle_kappa = fit_with_oracle(
             data, undamped)
-        # The model has no finite minimum along two valleys: sigma -> inf
-        # (data that define no envelope) and omega -> 0 with A -> inf,
+        # The model has no finite minimum along omega -> 0 with A -> inf,
         # where A sin(omega x) tends to a line.  From a start that leads
-        # there the numpy solver walks on until its budget runs out and
-        # scipy's stops somewhere along the valley: no minimum to agree on.
-        assume(oracle_sigma < 10.0 and oracle_omega > 0.25 * TWO_PI)
+        # there (the prefit miss of a FOUND note in CHANGES.md) the numpy
+        # solver walks on until its budget runs out and scipy's stops
+        # somewhere along the valley: no minimum to agree on.
+        assume(oracle_omega > 0.25 * TWO_PI)
         assert fit.converged
         assert fit.chi2_per_dof <= oracle_chi2 * (1.0 + 1e-9) \
             + 1e-24 * float(np.mean(data.y**2))
-        omega = fit.params["omega_f"]
+        omega, sigma = fit.params["omega_f"], fit.params["sigma_alpha"]
         if max(abs(omega - TWO_PI * periods),
                abs(oracle_omega - TWO_PI * periods)) < 0.25 * TWO_PI:
             assert abs(omega - oracle_omega) <= 1e-8 * oracle_omega \
                 + 1e-5 * fit.std_errors["omega_f"]
+            if sigma < math.inf:
+                # kappa = 1/(2 sigma^2), its error sigma's over sigma^3
+                assert abs(0.5 / sigma**2 - oracle_kappa) \
+                    <= 1e-8 * abs(oracle_kappa) \
+                    + 1e-5 * fit.std_errors["sigma_alpha"] / sigma**3
 
 
 class TestGaussianDecay:

@@ -14,14 +14,16 @@ sides fit the same data.
 
 It prints the largest |change| of omega_F over PARENT's, the range of the
 chi2/dof ratio (CHANGE / PARENT) and how many fits got lower or higher,
-the largest relative change of omega_F's standard error, every trace whose
-convergence changed, and every ``check_fit`` failure of either side against
-perfbench's reference.  It exits 1 when CHANGE fails ``check_fit`` on a
-trace, and 0 otherwise.
+the largest relative change of omega_F's standard error, of sigma_alpha
+and of sigma_alpha's standard error, how many fits of each side report
+sigma_alpha = inf, every trace whose convergence changed, and every
+``check_fit`` failure of either side against perfbench's reference.  It
+exits 1 when CHANGE fails ``check_fit`` on a trace, and 0 otherwise.
 """
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -59,6 +61,14 @@ def fit_all(tree, perfbench):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def relative_change(old, new):
+    """|new / old - 1|: 0 for equal values, inf where only one is inf."""
+    if old == new:
+        return 0.0
+    return math.inf if math.isinf(old) or math.isinf(new) \
+        else abs(new / old - 1.0)
+
+
 def compare(fits, check_fit, refs):
     """Report lines and the number of ``check_fit`` failures of CHANGE."""
     parent, change = fits["parent"], fits["change"]
@@ -71,26 +81,37 @@ def compare(fits, check_fit, refs):
     keys = sorted(parent)
     both = [k for k in keys if parent[k]["converged"]
             and change[k]["converged"]]
-    omega = max((abs(change[k]["params"]["omega_f"]
-                     / parent[k]["params"]["omega_f"] - 1.0) for k in both),
-                default=0.0)
+
+    def largest(field, name):
+        return max((relative_change(parent[k][field][name],
+                                    change[k][field][name]) for k in both),
+                   default=0.0)
+
     ratios = [change[k]["chi2_per_dof"] / parent[k]["chi2_per_dof"]
               for k in both]
-    error = max((abs(change[k]["std_errors"]["omega_f"]
-                     / parent[k]["std_errors"]["omega_f"] - 1.0)
-                 for k in both), default=0.0)
+    unenveloped = {side: sum(fit["params"].get("sigma_alpha") == math.inf
+                             for fit in side_fits.values())
+                   for side, side_fits in fits.items()}
     converged = [f"{k}: parent {parent[k]['converged']}, change "
                  f"{change[k]['converged']}" for k in keys
                  if parent[k]["converged"] != change[k]["converged"]]
     lines = [
         f"{len(both)} of {len(keys)} traces converged on both sides",
-        f"largest |omega_F change| / omega_F: {omega:.3g}",
+        f"largest |omega_F change| / omega_F: "
+        f"{largest('params', 'omega_f'):.3g}",
         f"chi2/dof ratio (change / parent): "
         f"[{min(ratios, default=1.0) - 1.0:+.3g}, "
         f"{max(ratios, default=1.0) - 1.0:+.3g}] from 1; "
         f"lower in {sum(r < 1.0 for r in ratios)}, "
         f"higher in {sum(r > 1.0 for r in ratios)}",
-        f"largest |change| of omega_F's std error, relative: {error:.3g}",
+        f"largest |change| of omega_F's std error, relative: "
+        f"{largest('std_errors', 'omega_f'):.3g}",
+        f"largest |change| of sigma_alpha, relative: "
+        f"{largest('params', 'sigma_alpha'):.3g}",
+        f"largest |change| of sigma_alpha's std error, relative: "
+        f"{largest('std_errors', 'sigma_alpha'):.3g}",
+        f"fits reporting sigma_alpha = inf: parent {unenveloped['parent']}, "
+        f"change {unenveloped['change']}",
         f"changed convergence: {len(converged)}",
         *(f"  {line}" for line in converged)]
     for side in fits:
