@@ -18,7 +18,7 @@ import numpy as np
 
 from . import efficiency as eff
 from . import eit
-from .config import RunConfig, parse_float_list
+from .config import RunConfig, fig6_columns, parse_float_list
 from .fitting import DataSeries, fit_gaussian_decay
 from .memory import (NOISE_PRESETS, MemoryParams, NoiseModel,
                      apply_detector_noise, average_process_fidelity,
@@ -55,48 +55,35 @@ def _rotation_delay(cfg: RunConfig) -> float:
                            medium.gamma_total)
 
 
-def _readings_for_state(s_out: StokesVector, rng, sigma: float,
-                        background: float) -> dict:
-    """Simulate the three analyzer settings on one output state."""
-    readings = {}
-    for key, basis in ANALYZERS.items():
-        pair = apply_detector_noise(measure(s_out, basis), rng, sigma,
-                                    background)
-        readings[key] = (float(pair[0]), float(pair[1]))
-    return readings
-
-
 def _tomography_once(cfg: RunConfig, t_store: float, eta: float,
                      noise: NoiseModel, shots: int, rep_tags: tuple):
-    """One full 12-measurement tomography; returns rows and extracted values."""
+    """One 12-measurement tomography, one pass over the 4 output states;
+    returns the (input, analyzer, port) readings, record, params, residual."""
     tau_d = _rotation_delay(cfg)
     inputs = canonical_inputs()
-    sigma = cfg.raw["detector.relative_sigma"]
-    background = cfg.raw["detector.background"]
-    rng = np.random.default_rng(_child_seed(cfg, *rep_tags, 7))
-    outputs = []
-    measurements = []
-    attenuation = cfg.attenuation_factor()
     if shots == 0:
         alpha = damping_factor(t_store, sigma_alpha_from_noise(noise.sigma_b))
         phi = rotation_angle(t_store, tau_d, faraday_frequency(noise.mean_bz))
         ensemble = memory_mueller(MemoryParams(eta, alpha, phi)).m
-    for k, (label, s_in) in enumerate(inputs.items()):
-        if shots == 0:
-            s_out = StokesVector.from_array(
-                ensemble @ s_in.as_array() * attenuation)
-        else:
-            stack = sample_shots(poincare(s_in), t_store, tau_d, eta, noise,
-                                 shots, _child_seed(cfg, *rep_tags, k))
-            s_out = StokesVector.from_array(stack.mean(axis=0) * attenuation)
-        readings = _readings_for_state(s_out, rng, sigma, background)
-        outputs.append(state_tomography(readings).stokes)
-        for key in ANALYZERS:
-            measurements.append((label, key) + readings[key])
-    record = TomographyRecord(tuple(inputs.values()), tuple(outputs))
-    mueller = process_tomography(record)
-    params, residual = extract_memory_params(mueller)
-    return measurements, record, params, residual
+        columns = ensemble @ np.column_stack(
+            [s_in.as_array() for s_in in inputs.values()])
+    else:
+        columns = np.column_stack([
+            sample_shots(poincare(s_in), t_store, tau_d, eta, noise, shots,
+                         _child_seed(cfg, *rep_tags, k)).mean(axis=0)
+            for k, s_in in enumerate(inputs.values())])
+    states = StokesVector(*(columns * cfg.attenuation_factor()))
+    ports = np.array([measure(states, basis) for basis in ANALYZERS.values()])
+    readings = apply_detector_noise(   # drawn input-major, as (4, 3, 2)
+        ports.transpose(2, 0, 1),
+        np.random.default_rng(_child_seed(cfg, *rep_tags, 7)),
+        cfg.raw["detector.relative_sigma"], cfg.raw["detector.background"])
+    outputs = state_tomography(
+        dict(zip(ANALYZERS, readings.transpose(1, 2, 0)))).stokes
+    record = TomographyRecord(tuple(inputs.values()), tuple(
+        StokesVector(*column) for column in outputs.as_array().T.tolist()))
+    params, residual = extract_memory_params(process_tomography(record))
+    return readings, record, params, residual
 
 
 def cmd_fig3(cfg: RunConfig) -> Table:
@@ -187,14 +174,15 @@ def cmd_fig6(cfg: RunConfig) -> Table:
     """Bimodal efficiency decay for several condensate fractions."""
     n = cfg.raw["fig6.n_points"]
     t_max = cfg.raw["fig6.t_max_ms"] * 1e-3
-    fractions = parse_float_list(cfg.raw["fig6.condensate_fractions"])
+    text = cfg.raw["fig6.condensate_fractions"]
+    fractions = parse_float_list(text)
     temperature = cfg.raw["fig6.temperature_uk"] * 1e-6
     sigma_bec = eff.recoil_sigma_eta(cfg.pulse.waist, cfg.medium.lambda_p)
     thermal = eff.thermal_decay_time(temperature, cfg.medium.lambda_p,
                                      cfg.medium.lambda_p)
     t = np.linspace(0.0, t_max, n)
     curves = [eff.bimodal_eta(t, fc, sigma_bec, thermal) for fc in fractions]
-    header = ["t_store_ms"] + [f"eta_fc_{fc:g}" for fc in fractions]
+    header = ["t_store_ms"] + fig6_columns(text)
     return Table(header=header, rows=list(zip(t * 1e3, *curves)),
                  extra_metadata=[f"thermal_decay_time_us = "
                                  f"{thermal * 1e6:.6f}",
@@ -259,14 +247,15 @@ def cmd_tomography(cfg: RunConfig) -> Table:
     rows = []
     fidelities = []
     for rep in range(repeats):
-        measurements, record, params, residual = _tomography_once(
+        readings, record, params, residual = _tomography_once(
             cfg, t_store, eta, cfg.noise, shots, (12, rep))
         avg_f = average_process_fidelity(params.alpha)
         fidelities.append(avg_f)
-        cond = record.condition_number
-        for label, key, i_plus, i_minus in measurements:
-            rows.append((rep, label, key, i_plus, i_minus, params.eta,
-                         params.alpha, params.phi, avg_f, residual, cond))
+        rows += [(rep, label, key, *pair, params.eta, params.alpha,
+                  params.phi, avg_f, residual, record.condition_number)
+                 for label, per_input in zip(canonical_inputs(),
+                                             readings.tolist())
+                 for key, pair in zip(ANALYZERS, per_input)]
     metadata = [f"t_store_us = {t_store * 1e6:g}",
                 f"eta_injected = {eta:.12g}"]
     if repeats > 1:

@@ -217,11 +217,7 @@ class RunConfig:
         if raw["optimize.omega_max_mhz"] < raw["optimize.omega_min_mhz"]:
             raise ConfigError("optimize.omega_max_mhz must be >= "
                               "optimize.omega_min_mhz")
-        fractions = parse_float_list(raw["fig6.condensate_fractions"])
-        if len({f"{fc:g}" for fc in fractions}) < len(fractions):
-            raise ConfigError("fig6.condensate_fractions must differ to 6 "
-                              "significant digits, as each names a column, "
-                              f"got {raw['fig6.condensate_fractions']!r}")
+        fig6_columns(raw["fig6.condensate_fractions"])  # no column twice
         try:
             medium = MediumParams(
                 atom_number=raw["medium.atom_number"],
@@ -281,3 +277,13 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
 def parse_float_list(text: str) -> list[float]:
     """Comma-separated floats used by list-valued config keys."""
     return [float(part) for part in text.split(",") if part.strip()]
+
+
+def fig6_columns(text: str) -> list[str]:
+    """fig6's column names; ConfigError if two fractions name one column."""
+    names = [f"eta_fc_{fc:g}" for fc in parse_float_list(text)]
+    if len(set(names)) < len(names):
+        raise ConfigError("fig6.condensate_fractions must differ to 6 "
+                          "significant digits, as each names a column, "
+                          f"got {text!r}")
+    return names

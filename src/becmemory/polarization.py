@@ -18,7 +18,8 @@ DOP_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class StokesVector:
-    """Four Stokes parameters in arbitrary (common) intensity units."""
+    """Four Stokes parameters in arbitrary (common) intensity units; the
+    fields may be arrays of one shape, one state per element."""
 
     s0: float
     s1: float
@@ -35,7 +36,9 @@ class StokesVector:
 
     @property
     def polarized_intensity(self) -> float:
-        return math.sqrt(self.s1**2 + self.s2**2 + self.s3**2)
+        # np.square, not **, so that a scalar state takes an array's bits
+        return np.sqrt(np.square(self.s1) + np.square(self.s2)
+                       + np.square(self.s3))
 
     @property
     def degree_of_polarization(self) -> float:
@@ -87,37 +90,38 @@ def clamp_physical(s: StokesVector, tol: float = DOP_TOLERANCE) -> StokesVector:
 
     Reconstructions from noiseless data may exceed the Poincare sphere by
     rounding; those are scaled back onto it.  Violations beyond ``tol``
-    (relative to s0^2) indicate genuinely unphysical data and raise.
+    (relative to s0^2) indicate genuinely unphysical data and raise; a
+    stack raises the error of its first offending state.
     """
-    if s.s0 < 0:
-        raise ValueError("total intensity s0 must be >= 0")
-    if s.s0 == 0:
-        if s.polarized_intensity > 0:
+    p = s.polarized_intensity
+    p2, limit = np.square(p), np.square(s.s0)
+    bad = (s.s0 < 0) | ((s.s0 == 0) & (p > 0)) | (p2 > limit * (1.0 + tol))
+    if np.count_nonzero(bad):
+        k = np.flatnonzero(bad)[0]
+        s0, p = np.ravel(s.s0)[k], np.ravel(p)[k]
+        if s0 < 0:
+            raise ValueError("total intensity s0 must be >= 0")
+        if s0 == 0:
             raise ValueError("zero total intensity with nonzero polarization")
+        raise ValueError(f"degree of polarization {p / s0:.6g} exceeds 1 "
+                         f"beyond tolerance")
+    over = p2 > limit
+    if not np.count_nonzero(over):
         return s
-    p2 = s.polarized_intensity**2
-    limit = s.s0**2
-    if p2 <= limit:
-        return s
-    if p2 > limit * (1.0 + tol):
-        raise ValueError(
-            f"degree of polarization {math.sqrt(p2) / s.s0:.6g} exceeds 1 "
-            f"beyond tolerance")
-    scale = s.s0 / math.sqrt(p2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(over, s.s0 / np.sqrt(p2), 1.0)[()]
     return StokesVector(s.s0, s.s1 * scale, s.s2 * scale, s.s3 * scale)
 
 
-def stokes_from_intensities(i_h: float, i_v: float, i_d: float, i_a: float,
-                            i_r: float, i_l: float) -> StokesVector:
+def stokes_from_intensities(i_h, i_v, i_d, i_a, i_r, i_l) -> StokesVector:
     """Build a Stokes vector from the six analyzer intensities.
 
     The three redundant basis sums are averaged into s0 so measurement noise
     is treated symmetrically.  For noisy inputs the result may lie slightly
     outside the Poincare sphere; it is returned as-is so callers can report
-    the reconstructed degree of polarization.
+    its degree of polarization.  The intensities may be arrays of one shape.
     """
-    intensities = (i_h, i_v, i_d, i_a, i_r, i_l)
-    if any(i < 0 for i in intensities):
+    if np.count_nonzero(np.less((i_h, i_v, i_d, i_a, i_r, i_l), 0)):
         raise ValueError("intensities must be non-negative")
     s0 = ((i_h + i_v) + (i_d + i_a) + (i_r + i_l)) / 3.0
     return StokesVector(s0, i_h - i_v, i_d - i_a, i_r - i_l)
@@ -142,7 +146,8 @@ def measure(s: StokesVector, basis: MeasurementBasis) -> tuple[float, float]:
     """Intensities at the two analyzer ports.
 
     The minus port is defined as the complement s0 - i_plus, so no
-    intensity is lost to independent rounding of the two ports.
+    intensity is lost to independent rounding of the two ports.  A stack
+    of states gives two arrays of its shape.
     """
     s = clamp_physical(s)
     b = basis.axis

@@ -56,10 +56,6 @@ class TomographyRecord:
         object.__setattr__(self, "condition_number",
                            float(np.linalg.cond(x)))
 
-    @property
-    def output_matrix(self) -> np.ndarray:
-        return np.column_stack([s.as_array() for s in self.outputs])
-
 
 @dataclass(frozen=True)
 class StateTomographyResult:
@@ -75,32 +71,35 @@ def state_tomography(
         readings: dict[str, tuple[float, float]]) -> StateTomographyResult:
     """Reconstruct a Stokes vector from (i_plus, i_minus) per basis setting.
 
-    ``readings`` must contain the keys "HV", "DA" and "RL".  The three
-    redundant total intensities are compared; disagreement beyond
-    ``S0_TOLERANCE`` (relative) only flags the result, it does not raise.
+    ``readings`` must contain the keys "HV", "DA" and "RL"; the intensities
+    may be arrays of one shape, one state per element, and every field of
+    the result then has that shape.  The three redundant total intensities
+    are compared; disagreement beyond ``S0_TOLERANCE`` (relative) only flags
+    the result, it does not raise.
     """
     missing = [k for k in ANALYZERS if k not in readings]
     if missing:
         raise ValueError(f"missing basis settings: {missing}")
     (i_h, i_v), (i_d, i_a), (i_r, i_l) = (readings[k] for k in ANALYZERS)
     s = stokes_from_intensities(i_h, i_v, i_d, i_a, i_r, i_l)
+    # s0 is the mean of the three sums; where it is 0 they are, and so is
+    # the spread
     sums = np.array([i_h + i_v, i_d + i_a, i_r + i_l])
-    mean = sums.mean()
-    spread = float(np.abs(sums - mean).max() / mean) if mean > 0 else 0.0
-    dop = s.degree_of_polarization if s.s0 > 0 else math.nan
+    spread = np.abs(sums - s.s0).max(axis=0) / np.where(s.s0 > 0, s.s0, 1.0)
+    dop = np.divide(s.polarized_intensity, s.s0, where=s.s0 > 0,
+                    out=np.full(np.shape(s.s0), math.nan))[()]
     return StateTomographyResult(s, dop, spread, spread <= S0_TOLERANCE)
 
 
 def process_tomography(record: TomographyRecord) -> MuellerMatrix:
     """Solve S_out(k) = M S_in(k), k = 1..4, for the unique Mueller matrix."""
-    x = record.input_matrix
     cond = record.condition_number
     if cond > CONDITION_LIMIT:
         raise np.linalg.LinAlgError(
             f"input states are ill-conditioned (cond = {cond:.3g})")
     # M X = Y  <=>  X^T M^T = Y^T
-    m = np.linalg.solve(x.T, record.output_matrix.T).T
-    return MuellerMatrix(m)
+    y = np.column_stack([s.as_array() for s in record.outputs])
+    return MuellerMatrix(np.linalg.solve(record.input_matrix.T, y.T).T)
 
 
 def extract_memory_params(m: MuellerMatrix) -> tuple[MemoryParams, float]:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from becmemory.polarization import (BASIS_DA, BASIS_HV, BASIS_RL,
-                                    MeasurementBasis, PoincareVector,
-                                    StokesVector, clamp_physical, fidelity,
-                                    measure, poincare,
-                                    stokes_from_intensities)
+                                    DOP_TOLERANCE, MeasurementBasis,
+                                    PoincareVector, StokesVector,
+                                    clamp_physical, fidelity, measure,
+                                    poincare, stokes_from_intensities)
 
 from conftest import random_physical_stokes
 
@@ -164,3 +166,88 @@ class TestMeasurementBasis:
         assert BASIS_HV.axis.as_array().tolist() == [1.0, 0.0, 0.0]
         assert BASIS_DA.axis.as_array().tolist() == [0.0, 1.0, 0.0]
         assert BASIS_RL.axis.as_array().tolist() == [0.0, 0.0, 1.0]
+
+
+# one state: s0, a direction and |s_vec|/s0 (|s_vec| itself at s0 = 0), from
+# inside the sphere to just beyond the clamp's tolerance
+STATES = st.tuples(
+    st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda u: np.linalg.norm(u) > 1e-3),
+    st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1.0 + DOP_TOLERANCE)))
+
+
+def stokes_rows(states):
+    """The (s0, s1, s2, s3) rows of the drawn states."""
+    rows = []
+    for s0, u, dop in states:
+        scale = (s0 or 1.0) * dop / np.linalg.norm(u)
+        rows.append([s0, u[0] * scale, u[1] * scale, u[2] * scale])
+    return rows
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def fields(result, k=None):
+    """The bytes of a state or a pair of port intensities, or of element k
+    of their stack."""
+    values = np.array(list(vars(result).values()) if isinstance(
+        result, StokesVector) else result, dtype=float)
+    return (values if k is None else values[:, k]).tobytes()
+
+
+def broadcast_outcome(fn, each_args, stack_args):
+    """fn on a stack, checked against fn on each element: the same bits, or
+    the ValueError of the first element that raises (then None)."""
+    each = [outcome(fn, *args) for args in each_args]
+    stack = outcome(fn, *stack_args)
+    errors = [e for e in each if isinstance(e, str)]
+    if errors:
+        assert stack == errors[0]
+        return None
+    for k, one in enumerate(each):
+        assert fields(one) == fields(stack, k), (fn.__name__, k)
+    return stack
+
+
+class TestBroadcast:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(STATES, min_size=1, max_size=6))
+    @example(states=[(1.0, (1.0, 0.0, 0.0), 1.0 + 2e-10)])   # clamped
+    @example(states=[(0.0, (0.3, 0.4, 0.5), 0.0),
+                     (2.0, (0.0, 1.0, 0.0), 0.5)])          # s0 = 0
+    @example(states=[(1.0, (1.0, 0.0, 0.0), 0.9),
+                     (1.0, (0.0, 0.6, 0.8), 1.0 + 1e-6),
+                     (3.0, (0.0, 0.0, 1.0), 1.0)])          # one beyond
+    def test_scalar_call_gives_array_element_bits(self, states):
+        # clamping and measuring a stack of states, and reconstructing it
+        # from its port intensities, give each state's scalar bits
+        rows = stokes_rows(states)
+        singles = [StokesVector(*row) for row in rows]
+        stack = StokesVector(*np.array(rows).T)
+        if broadcast_outcome(clamp_physical, [(s,) for s in singles],
+                             (stack,)) is None:
+            return
+        intensities = []
+        for basis in (BASIS_HV, BASIS_DA, BASIS_RL):
+            ports = broadcast_outcome(measure, [(s, basis) for s in singles],
+                                      (stack, basis))
+            if ports is None:
+                return
+            intensities += ports
+        broadcast_outcome(stokes_from_intensities,
+                          [[i[k] for i in intensities]
+                           for k in range(len(rows))], intensities)
+
+    def test_one_negative_intensity_raises_its_error(self):
+        good = np.full(3, 0.5)
+        bad = np.array([0.5, -1e-3, 0.5])
+        with pytest.raises(ValueError) as scalar:
+            stokes_from_intensities(0.5, -1e-3, 0.5, 0.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match=f"^{scalar.value}$"):
+            stokes_from_intensities(good, bad, good, good, good, good)

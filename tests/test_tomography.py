@@ -3,16 +3,22 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from becmemory.memory import (MemoryParams, MuellerMatrix,
-                              apply_detector_noise, memory_mueller)
+from becmemory import commands
+from becmemory.config import RunConfig
+from becmemory.eit import optical_depth, pulse_delay
+from becmemory.memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix,
+                              apply_detector_noise, damping_factor,
+                              faraday_frequency, memory_mueller,
+                              rotation_angle, sample_shots,
+                              sigma_alpha_from_noise)
 from becmemory.polarization import (BASIS_DA, BASIS_HV, BASIS_RL,
-                                    StokesVector, measure)
-from becmemory.tomography import (TomographyRecord, canonical_inputs,
-                                  extract_memory_params, process_tomography,
-                                  state_tomography)
+                                    StokesVector, measure, poincare)
+from becmemory.tomography import (ANALYZERS, TomographyRecord,
+                                  canonical_inputs, extract_memory_params,
+                                  process_tomography, state_tomography)
 
 LABELS = ("H", "D", "R", "L")
 
@@ -68,6 +74,131 @@ class TestStateTomography:
     def test_missing_basis(self):
         with pytest.raises(ValueError):
             state_tomography({"HV": (1.0, 0.0), "DA": (0.5, 0.5)})
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(0.0, 2.0)] * 6), min_size=1,
+                    max_size=6))
+    @example(intensities=[(0.0,) * 6])                       # s0 = 0
+    @example(intensities=[(1.0, 0.0, 0.5, 0.5, 0.5, 0.5),
+                          (0.4, -1e-3, 0.2, 0.2, 0.2, 0.2)])  # one < 0
+    def test_scalar_call_gives_array_element_bits(self, intensities):
+        # a stack's readings reconstruct each state to the bits of its own
+        # scalar call, or raise the ValueError of its offending state
+        columns = np.array(intensities).T
+        stack = {key: (columns[2 * j], columns[2 * j + 1])
+                 for j, key in enumerate(ANALYZERS)}
+        singles = []
+        for row in intensities:
+            try:
+                singles.append(state_tomography(
+                    {key: (row[2 * j], row[2 * j + 1])
+                     for j, key in enumerate(ANALYZERS)}))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    state_tomography(stack)
+                return
+        batch = state_tomography(stack)
+        for k, one in enumerate(singles):
+            assert bits(one.stokes) == bits(batch.stokes, k)
+            for name in ("degree_of_polarization", "s0_spread",
+                         "consistent"):
+                assert np.array(getattr(one, name)).tobytes() \
+                    == np.array(getattr(batch, name)[k]).tobytes(), name
+
+
+def bits(s: StokesVector, k=None) -> bytes:
+    """The bytes of a state, or of element k of a stack of states."""
+    fields = np.array([s.s0, s.s1, s.s2, s.s3], dtype=float)
+    return (fields if k is None else fields[:, k]).tobytes()
+
+
+def looped_tomography(cfg, t_store, eta, noise, shots, rep_tags):
+    """A synthetic tomography as one loop over inputs and analyzers, built
+    from the public scalar kernels: the reference for the array pass."""
+    def seed(*tags):
+        return np.random.SeedSequence(entropy=cfg.raw["seed"],
+                                      spawn_key=rep_tags + tags)
+
+    medium = cfg.medium
+    tau_d = pulse_delay(cfg.control.omega_c, optical_depth(medium),
+                        medium.gamma_total) \
+        if cfg.raw["rotation.include_pulse_delay"] else 0.0
+    rng = np.random.default_rng(seed(7))
+    readings, outputs = [], []
+    for k, s_in in enumerate(canonical_inputs().values()):
+        if shots == 0:
+            alpha = damping_factor(t_store,
+                                   sigma_alpha_from_noise(noise.sigma_b))
+            phi = rotation_angle(t_store, tau_d,
+                                 faraday_frequency(noise.mean_bz))
+            out = memory_mueller(MemoryParams(eta, alpha, phi)).m \
+                @ s_in.as_array()
+        else:
+            out = sample_shots(poincare(s_in), t_store, tau_d, eta, noise,
+                               shots, seed(k)).mean(axis=0)
+        s_out = StokesVector.from_array(out * cfg.attenuation_factor())
+        pairs = {}
+        for key, basis in ANALYZERS.items():
+            pair = apply_detector_noise(
+                measure(s_out, basis), rng, cfg.raw["detector.relative_sigma"],
+                cfg.raw["detector.background"])
+            pairs[key] = (float(pair[0]), float(pair[1]))
+        readings.append([pairs[key] for key in ANALYZERS])
+        outputs.append(state_tomography(pairs).stokes)
+    record = TomographyRecord(tuple(canonical_inputs().values()),
+                              tuple(outputs))
+    params, residual = extract_memory_params(process_tomography(record))
+    return readings, outputs, params, residual
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the error it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return fn(*args)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayPass:
+    @settings(max_examples=150, deadline=None)
+    @given(shots=st.sampled_from([0, 2, 50]),
+           sigma=st.floats(0.0, 0.8), background=st.floats(0.0, 0.5),
+           attenuated=st.booleans(), delayed=st.booleans(),
+           preset=st.sampled_from(sorted(NOISE_PRESETS)),
+           static_field=st.booleans(), t_store_us=st.floats(0.0, 2000.0),
+           eta=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(shots=50, sigma=0.02, background=0.0, attenuated=False,
+             delayed=False, preset="line-synced", static_field=True,
+             t_store_us=1870.1448475755365, eta=0.5664437418921517,
+             seed=12345)    # all shots alike: the clamp scales 3 states
+    def test_matches_per_input_loop(self, shots, sigma, background,
+                                    attenuated, delayed, preset,
+                                    static_field, t_store_us, eta, seed):
+        # the one array pass gives the per-input loop's bits: readings,
+        # output states, (eta, alpha, phi) and residual, or its error
+        cfg = RunConfig.from_mapping({
+            "detector.relative_sigma": sigma,
+            "detector.background": background,
+            "attenuation.enabled": attenuated,
+            "rotation.include_pulse_delay": delayed,
+            "noise.preset": "custom" if static_field else preset,
+            "noise.sigma_b_mg": 0.0 if static_field else -1.0,
+            "seed": seed})
+        args = (cfg, t_store_us * 1e-6, eta, cfg.noise, shots, (4, 1, 2))
+        expected = outcome(looped_tomography, *args)
+        got = outcome(commands._tomography_once, *args)
+        if isinstance(expected[0], type):
+            assert got == expected
+            return
+        readings, outputs, params, residual = expected
+        got_readings, record, got_params, got_residual = got
+        assert got_readings.tobytes() == np.array(readings).tobytes()
+        assert [bits(s) for s in record.outputs] \
+            == [bits(s) for s in outputs]
+        assert (got_params, got_residual) == (params, residual)
 
 
 class TestProcessTomography:

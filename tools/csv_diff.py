@@ -6,16 +6,19 @@ Usage (from anywhere inside the repository):
 
 Each revision is checked out into its own temporary clone, as
 ``tools/bench_pairs.py`` does.  Both run ``python -m becmemory.cli`` from
-their own ``src`` on the same 125 inputs: every parameter set of
+their own ``src`` on the same 126 inputs: every parameter set of
 perfbench's two CLI workloads (9 command variants x 12 sets, read from
 ``perfbench/workloads.py``), each variant once with its defaults (fig3
-to fig8, tomography, and optimize averaged and on axis), and eight runs
+to fig8, tomography, and optimize averaged and on axis), and nine runs
 of paths that no parameter set takes.  Four have the detector noise off
 (``detector.relative_sigma=0``): tomography with exact states, with
 3 x 300 shots and with attenuation on at sigma_B = 0, and fig4.  Four add
 the slow-light delay to the rotation angle
 (``rotation.include_pulse_delay=true``): fig3, fig4, and tomography with
-exact states and with 3 x 300 shots.  The parameter
+exact states and with 3 x 300 shots.  One runs tomography with 3 x 300
+shots at sigma_B = 0 and the detector noise on: every shot is the same,
+so their mean can leave the Poincare sphere by rounding, and this run
+takes ``clamp_physical``'s scaling branch.  The parameter
 sets, ``perfbench/checks.py`` and ``perfbench/reference.json`` are read
 from PARENT's clone and never written.
 
@@ -46,17 +49,19 @@ DEFAULTS = {"optimize-on-axis": ["optimize", "--set",
 NOISELESS = ["--set", "detector.relative_sigma=0"]
 DELAY = ["--set", "rotation.include_pulse_delay=true"]
 SHOTS = ["--set", "tomography.shots=300", "--set", "tomography.repeats=3"]
+STATIC_FIELD = ["--set", "noise.preset=custom", "--set", "noise.sigma_b_mg=0"]
 EXTRA_RUNS = {
     "tomography/noiseless": ["tomography", *NOISELESS],
     "tomography/noiseless-shots": ["tomography", *NOISELESS, *SHOTS],
     "tomography/noiseless-attenuated": [
         "tomography", *NOISELESS, "--set", "attenuation.enabled=true",
-        "--set", "noise.preset=custom", "--set", "noise.sigma_b_mg=0"],
+        *STATIC_FIELD],
     "fig4/noiseless": ["fig4", *NOISELESS],
     "fig3/pulse-delay": ["fig3", *DELAY],
     "fig4/pulse-delay": ["fig4", *DELAY],
     "tomography/pulse-delay": ["tomography", *DELAY],
     "tomography/pulse-delay-shots": ["tomography", *DELAY, *SHOTS],
+    "tomography/static-field-shots": ["tomography", *SHOTS, *STATIC_FIELD],
 }
 
 
