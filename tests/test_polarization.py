@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -249,5 +251,6 @@ class TestBroadcast:
         bad = np.array([0.5, -1e-3, 0.5])
         with pytest.raises(ValueError) as scalar:
             stokes_from_intensities(0.5, -1e-3, 0.5, 0.5, 0.5, 0.5)
-        with pytest.raises(ValueError, match=f"^{scalar.value}$"):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(scalar.value))}$"):
             stokes_from_intensities(good, bad, good, good, good, good)
