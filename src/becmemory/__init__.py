@@ -31,8 +31,9 @@ from .memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix, NoiseModel,
 from .polarization import (BASIS_DA, BASIS_HV, BASIS_RL, MeasurementBasis,
                            PoincareVector, StokesVector, fidelity, measure,
                            poincare, stokes_from_intensities)
-from .tomography import (StateTomographyResult, TomographyRecord,
-                         canonical_inputs, extract_memory_params,
-                         process_tomography, state_tomography)
+from .tomography import (INPUT_LABELS, StateTomographyResult,
+                         StructureWarning, canonical_inputs,
+                         extract_memory_params, process_tomography,
+                         state_tomography)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

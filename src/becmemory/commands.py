@@ -26,9 +26,9 @@ from .memory import (NOISE_PRESETS, MemoryParams, NoiseModel,
                      rotation_angle, s1_trace, sample_shots,
                      sigma_alpha_from_noise)
 from .polarization import PoincareVector, StokesVector, measure, poincare
-from .tomography import (ANALYZERS, TomographyRecord, canonical_inputs,
-                         extract_memory_params, process_tomography,
-                         state_tomography)
+from .tomography import (ANALYZERS, INPUT_LABELS, StructureWarning,
+                         canonical_inputs, extract_memory_params,
+                         process_tomography, state_tomography)
 
 
 @dataclass
@@ -58,20 +58,20 @@ def _rotation_delay(cfg: RunConfig) -> float:
 def _tomography_once(cfg: RunConfig, t_store: float, eta: float,
                      noise: NoiseModel, shots: int, rep_tags: tuple):
     """One 12-measurement tomography, one pass over the 4 output states;
-    returns the (input, analyzer, port) readings, record, params, residual."""
+    returns the (input, analyzer, port) readings, output states, params and
+    residual."""
     tau_d = _rotation_delay(cfg)
     inputs = canonical_inputs()
     if shots == 0:
         alpha = damping_factor(t_store, sigma_alpha_from_noise(noise.sigma_b))
         phi = rotation_angle(t_store, tau_d, faraday_frequency(noise.mean_bz))
         ensemble = memory_mueller(MemoryParams(eta, alpha, phi)).m
-        columns = ensemble @ np.column_stack(
-            [s_in.as_array() for s_in in inputs.values()])
+        columns = ensemble @ inputs.as_array()
     else:
         columns = np.column_stack([
-            sample_shots(poincare(s_in), t_store, tau_d, eta, noise, shots,
-                         _child_seed(cfg, *rep_tags, k)).mean(axis=0)
-            for k, s_in in enumerate(inputs.values())])
+            sample_shots(PoincareVector(*u), t_store, tau_d, eta, noise,
+                         shots, _child_seed(cfg, *rep_tags, k)).mean(axis=0)
+            for k, u in enumerate(poincare(inputs).as_array().T)])
     states = StokesVector(*(columns * cfg.attenuation_factor()))
     ports = np.array([measure(states, basis) for basis in ANALYZERS.values()])
     readings = apply_detector_noise(   # drawn input-major, as (4, 3, 2)
@@ -80,10 +80,9 @@ def _tomography_once(cfg: RunConfig, t_store: float, eta: float,
         cfg.raw["detector.relative_sigma"], cfg.raw["detector.background"])
     outputs = state_tomography(
         dict(zip(ANALYZERS, readings.transpose(1, 2, 0)))).stokes
-    record = TomographyRecord(tuple(inputs.values()), tuple(
-        StokesVector(*column) for column in outputs.as_array().T.tolist()))
-    params, residual = extract_memory_params(process_tomography(record))
-    return readings, record, params, residual
+    params, residual = extract_memory_params(
+        process_tomography(inputs, outputs))
+    return readings, outputs, params, residual
 
 
 def cmd_fig3(cfg: RunConfig) -> Table:
@@ -116,37 +115,33 @@ def cmd_fig4(cfg: RunConfig) -> Table:
     factor = cfg.raw["fig4.t_max_sigma_factor"]
     rows = []
     metadata = []
-    for p, preset in enumerate(NOISE_PRESETS):
-        noise = NoiseModel.from_preset(preset, cfg.noise.mean_bz)
-        sigma_alpha = sigma_alpha_from_noise(noise.sigma_b)
-        t_grid = np.linspace(0.0, factor * sigma_alpha, n_points)
-        alphas = []
-        for i, t in enumerate(t_grid):
-            # Shot noise makes reconstructions at strongly dephased times
-            # deviate from the structured form; that is expected here and
-            # absorbed by the Gaussian fit, so the structure warning (and
-            # only it) is suppressed for this Monte-Carlo sweep.
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", "matrix deviates from the memory form",
-                    UserWarning)
-                _, _, params, _ = _tomography_once(cfg, float(t), 1.0, noise,
-                                                   shots, (4, p, i))
-            alphas.append(params.alpha)
-        data = DataSeries(t_grid, np.array(alphas))
-        fit = fit_gaussian_decay(data)
-        if not fit.converged:
-            raise RuntimeError(
-                f"Gaussian fit of alpha(t) failed for preset {preset!r}: "
-                f"{fit.message}")
-        sig = fit.params["sigma"]
-        amp = fit.params["amplitude"]
-        metadata.append(f"fit.{preset}.sigma_alpha_ms = {sig * 1e3:.6f}")
-        metadata.append(f"fit.{preset}.amplitude = {amp:.6f}")
-        model = damping_factor(t_grid, sigma_alpha)
-        fitted = amp * damping_factor(t_grid, sig)
-        rows += [(preset, t, a, m, f)
-                 for t, a, m, f in zip(t_grid * 1e3, alphas, model, fitted)]
+    # Shot noise makes reconstructions at strongly dephased times deviate
+    # from the structured form; that is expected here and absorbed by the
+    # Gaussian fit, so the structure warning (and only it) is suppressed
+    # for this Monte-Carlo sweep.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StructureWarning)
+        for p, preset in enumerate(NOISE_PRESETS):
+            noise = NoiseModel.from_preset(preset, cfg.noise.mean_bz)
+            sigma_alpha = sigma_alpha_from_noise(noise.sigma_b)
+            t_grid = np.linspace(0.0, factor * sigma_alpha, n_points)
+            alphas = [_tomography_once(cfg, float(t), 1.0, noise, shots,
+                                       (4, p, i))[2].alpha
+                      for i, t in enumerate(t_grid)]
+            data = DataSeries(t_grid, np.array(alphas))
+            fit = fit_gaussian_decay(data)
+            if not fit.converged:
+                raise RuntimeError(
+                    f"Gaussian fit of alpha(t) failed for preset {preset!r}: "
+                    f"{fit.message}")
+            sig = fit.params["sigma"]
+            amp = fit.params["amplitude"]
+            metadata.append(f"fit.{preset}.sigma_alpha_ms = {sig * 1e3:.6f}")
+            metadata.append(f"fit.{preset}.amplitude = {amp:.6f}")
+            model = damping_factor(t_grid, sigma_alpha)
+            fitted = amp * damping_factor(t_grid, sig)
+            rows += [(preset, t, a, m, f) for t, a, m, f
+                     in zip(t_grid * 1e3, alphas, model, fitted)]
     return Table(
         header=["preset", "t_store_ms", "alpha_tomography", "alpha_model",
                 "alpha_fit"],
@@ -244,17 +239,17 @@ def cmd_tomography(cfg: RunConfig) -> Table:
     sigma_recoil = eff.recoil_sigma_eta(cfg.pulse.waist, cfg.medium.lambda_p)
     eta = cfg.raw["tomography.eta0"] \
         * float(eff.eta_decay(t_store, 1.0, sigma_recoil))
+    cond = float(np.linalg.cond(canonical_inputs().as_array()))
     rows = []
     fidelities = []
     for rep in range(repeats):
-        readings, record, params, residual = _tomography_once(
+        readings, _, params, residual = _tomography_once(
             cfg, t_store, eta, cfg.noise, shots, (12, rep))
         avg_f = average_process_fidelity(params.alpha)
         fidelities.append(avg_f)
         rows += [(rep, label, key, *pair, params.eta, params.alpha,
-                  params.phi, avg_f, residual, record.condition_number)
-                 for label, per_input in zip(canonical_inputs(),
-                                             readings.tolist())
+                  params.phi, avg_f, residual, cond)
+                 for label, per_input in zip(INPUT_LABELS, readings.tolist())
                  for key, pair in zip(ANALYZERS, per_input)]
     metadata = [f"t_store_us = {t_store * 1e6:g}",
                 f"eta_injected = {eta:.12g}"]

@@ -110,13 +110,13 @@ def memory_mueller(params: MemoryParams) -> MuellerMatrix:
 
 
 def apply_mueller(m: MuellerMatrix, s_in: StokesVector) -> StokesVector:
-    """Apply a Mueller matrix to a Stokes vector.
+    """Apply a Mueller matrix to a Stokes vector or to a stack of them.
 
     The output is tested against the Stokes invariants and a warning is
-    issued if it violates them (an unphysical matrix).
+    issued if any state violates them (an unphysical matrix).
     """
-    out = StokesVector.from_array(m.m @ s_in.as_array())
-    if not out.is_physical(tol=1e-9):
+    out = StokesVector(*(m.m @ s_in.as_array()))
+    if not np.all(out.is_physical()):
         warnings.warn("Mueller matrix produced an unphysical Stokes vector",
                       stacklevel=2)
     return out

@@ -27,12 +27,8 @@ class StokesVector:
     s3: float
 
     def as_array(self) -> np.ndarray:
+        """The fields as rows: shape (4,) for one state, (4, n) for n."""
         return np.array([self.s0, self.s1, self.s2, self.s3], dtype=float)
-
-    @classmethod
-    def from_array(cls, values) -> "StokesVector":
-        s0, s1, s2, s3 = (float(v) for v in values)
-        return cls(s0, s1, s2, s3)
 
     @property
     def polarized_intensity(self) -> float:
@@ -43,14 +39,14 @@ class StokesVector:
     @property
     def degree_of_polarization(self) -> float:
         """|s_vec|/s0; may exceed 1 for noisy reconstructions."""
-        if self.s0 <= 0:
+        if np.any(self.s0 <= 0):
             raise ValueError("degree of polarization undefined for s0 <= 0")
         return self.polarized_intensity / self.s0
 
     def is_physical(self, tol: float = DOP_TOLERANCE) -> bool:
-        if self.s0 < 0:
-            return False
-        return self.polarized_intensity**2 <= self.s0**2 * (1.0 + tol)
+        """s0 >= 0 and |s_vec|^2 <= s0^2 (1 + tol), per state."""
+        return (self.s0 >= 0) & (np.square(self.polarized_intensity)
+                                 <= np.square(self.s0) * (1.0 + tol))
 
 
 @dataclass(frozen=True)
@@ -93,9 +89,8 @@ def clamp_physical(s: StokesVector, tol: float = DOP_TOLERANCE) -> StokesVector:
     (relative to s0^2) indicate genuinely unphysical data and raise; a
     stack raises the error of its first offending state.
     """
+    bad = ~s.is_physical(tol)
     p = s.polarized_intensity
-    p2, limit = np.square(p), np.square(s.s0)
-    bad = (s.s0 < 0) | ((s.s0 == 0) & (p > 0)) | (p2 > limit * (1.0 + tol))
     if np.count_nonzero(bad):
         k = np.flatnonzero(bad)[0]
         s0, p = np.ravel(s.s0)[k], np.ravel(p)[k]
@@ -105,7 +100,8 @@ def clamp_physical(s: StokesVector, tol: float = DOP_TOLERANCE) -> StokesVector:
             raise ValueError("zero total intensity with nonzero polarization")
         raise ValueError(f"degree of polarization {p / s0:.6g} exceeds 1 "
                          f"beyond tolerance")
-    over = p2 > limit
+    p2 = np.square(p)
+    over = p2 > np.square(s.s0)
     if not np.count_nonzero(over):
         return s
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -128,8 +124,8 @@ def stokes_from_intensities(i_h, i_v, i_d, i_a, i_r, i_l) -> StokesVector:
 
 
 def poincare(s: StokesVector) -> PoincareVector:
-    """Normalize the polarized part of a Stokes vector."""
-    if s.s0 <= 0:
+    """Normalize the polarized part of a Stokes vector (or of a stack)."""
+    if np.any(s.s0 <= 0):
         raise ValueError("Poincare vector undefined for s0 <= 0")
     return PoincareVector(s.s1 / s.s0, s.s2 / s.s0, s.s3 / s.s0)
 

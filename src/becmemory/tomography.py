@@ -8,7 +8,7 @@ matrix by a linear solve.  The structured memory form then yields the
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .polarization import (BASIS_DA, BASIS_HV, BASIS_RL, StokesVector,
 # The three analyzer settings, by the key of their state-tomography readings.
 ANALYZERS = {"HV": BASIS_HV, "DA": BASIS_DA, "RL": BASIS_RL}
 
+# The probe inputs, in the order of canonical_inputs()'s states.
+INPUT_LABELS = ("H", "D", "R", "L")
+
 CONDITION_LIMIT = 1e8
 
 # Largest relative disagreement of the three redundant basis sums for which a
@@ -26,35 +29,17 @@ CONDITION_LIMIT = 1e8
 S0_TOLERANCE = 0.1
 
 
-def canonical_inputs() -> dict[str, StokesVector]:
-    """The H, D, R, L probe set (linearly independent as 4-vectors)."""
-    return {
-        "H": StokesVector(1.0, 1.0, 0.0, 0.0),
-        "D": StokesVector(1.0, 0.0, 1.0, 0.0),
-        "R": StokesVector(1.0, 0.0, 0.0, 1.0),
-        "L": StokesVector(1.0, 0.0, 0.0, -1.0),
-    }
+class StructureWarning(UserWarning):
+    """A reconstructed Mueller matrix deviates from the memory form."""
 
 
-@dataclass(frozen=True)
-class TomographyRecord:
-    """Four probe inputs and the reconstructed outputs they produced."""
-
-    inputs: tuple[StokesVector, ...]
-    outputs: tuple[StokesVector, ...]
-    # inputs stacked as columns of a 4x4 matrix, and its condition number
-    input_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    condition_number: float = field(init=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.inputs) != 4 or len(self.outputs) != 4:
-            raise ValueError("process tomography needs 4 input/output pairs")
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        x = np.column_stack([s.as_array() for s in self.inputs])
-        object.__setattr__(self, "input_matrix", x)
-        object.__setattr__(self, "condition_number",
-                           float(np.linalg.cond(x)))
+def canonical_inputs() -> StokesVector:
+    """The H, D, R, L probe set as one stack of 4 states (linearly
+    independent as 4-vectors)."""
+    return StokesVector(*np.array([[1.0, 1.0, 0.0, 0.0],
+                                   [1.0, 0.0, 1.0, 0.0],
+                                   [1.0, 0.0, 0.0, 1.0],
+                                   [1.0, 0.0, 0.0, -1.0]]).T)
 
 
 @dataclass(frozen=True)
@@ -91,15 +76,19 @@ def state_tomography(
     return StateTomographyResult(s, dop, spread, spread <= S0_TOLERANCE)
 
 
-def process_tomography(record: TomographyRecord) -> MuellerMatrix:
-    """Solve S_out(k) = M S_in(k), k = 1..4, for the unique Mueller matrix."""
-    cond = record.condition_number
+def process_tomography(inputs: StokesVector,
+                       outputs: StokesVector) -> MuellerMatrix:
+    """Solve S_out(k) = M S_in(k), k = 1..4, for the unique Mueller matrix;
+    ``inputs`` and ``outputs`` are stacks of 4 states."""
+    x, y = inputs.as_array(), outputs.as_array()
+    if x.shape != (4, 4) or y.shape != (4, 4):
+        raise ValueError("process tomography needs 4 input/output pairs")
+    cond = np.linalg.cond(x)
     if cond > CONDITION_LIMIT:
         raise np.linalg.LinAlgError(
             f"input states are ill-conditioned (cond = {cond:.3g})")
     # M X = Y  <=>  X^T M^T = Y^T
-    y = np.column_stack([s.as_array() for s in record.outputs])
-    return MuellerMatrix(np.linalg.solve(record.input_matrix.T, y.T).T)
+    return MuellerMatrix(np.linalg.solve(x.T, y.T).T)
 
 
 def extract_memory_params(m: MuellerMatrix) -> tuple[MemoryParams, float]:
@@ -124,5 +113,5 @@ def extract_memory_params(m: MuellerMatrix) -> tuple[MemoryParams, float]:
     if residual > 0.1:
         warnings.warn(
             f"matrix deviates from the memory form (residual = "
-            f"{residual:.3g})", stacklevel=2)
+            f"{residual:.3g})", StructureWarning, stacklevel=2)
     return params, residual

@@ -32,9 +32,10 @@ from becmemory.memory import (MemoryParams, NoiseModel,
                               faraday_frequency, memory_mueller,
                               sample_shots, sigma_alpha_from_noise)
 from becmemory.polarization import PoincareVector
-from becmemory.tomography import extract_memory_params, process_tomography
+from becmemory.tomography import (canonical_inputs, extract_memory_params,
+                                  process_tomography)
 
-from test_tomography import record_for_matrix
+from test_tomography import outputs_for
 
 TWO_PI = 2.0 * math.pi
 GAMMA = 1.0 / 26e-9
@@ -228,7 +229,8 @@ def test_criterion_6_tomography_round_trips():
     worst = 0.0
     for _ in range(25):
         m_true = rng.normal(size=(4, 4))
-        recovered = process_tomography(record_for_matrix(m_true)).m
+        recovered = process_tomography(canonical_inputs(),
+                                       outputs_for(m_true)).m
         worst = max(worst, float(np.max(np.abs(recovered - m_true))))
     assert worst <= 1e-12
 

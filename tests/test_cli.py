@@ -13,6 +13,7 @@ from becmemory.cli import main
 from becmemory.config import (SCHEMA, ConfigError, RunConfig,
                               build_mapping, load_config, parse_config_text,
                               parse_float_list, parse_value)
+from becmemory.tomography import StructureWarning
 from conftest import column, read_table
 
 TWO_PI = 2.0 * math.pi
@@ -424,7 +425,8 @@ class TestCommandLine:
         extract = commands.extract_memory_params
 
         def warning_extract(mueller):
-            warnings.warn("matrix deviates from the memory form (test)")
+            warnings.warn("matrix deviates from the memory form (test)",
+                          StructureWarning)
             warnings.warn("some other warning")
             return extract(mueller)
 

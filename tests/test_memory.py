@@ -17,6 +17,8 @@ from becmemory.memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix,
                               sigma_alpha_from_noise)
 from becmemory.polarization import PoincareVector, StokesVector, fidelity
 
+from conftest import random_physical_stokes
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -111,6 +113,26 @@ class TestApplyMueller:
         bad = MuellerMatrix(2.0 * np.eye(4) + 0.5)
         with pytest.warns(UserWarning):
             apply_mueller(bad, StokesVector(1, 1, 0, 0))
+
+    def test_stack_matches_each_state(self, rng):
+        m = memory_mueller(MemoryParams(0.4, 0.7, 1.1))
+        rows = random_physical_stokes(rng, 5)
+        out = apply_mueller(m, StokesVector(*rows.T))
+        for k, row in enumerate(rows):
+            np.testing.assert_allclose(
+                out.as_array()[:, k],
+                apply_mueller(m, StokesVector(*row)).as_array(),
+                rtol=1e-15, atol=1e-15)
+
+    def test_stack_warns_when_one_state_is_unphysical(self):
+        # the unpolarized state stays inside the sphere, H leaves it
+        bad = MuellerMatrix(2.0 * np.eye(4) + 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            apply_mueller(bad, StokesVector(1, 0, 0, 0))
+        with pytest.warns(UserWarning, match="unphysical Stokes vector"):
+            apply_mueller(bad, StokesVector(np.ones(2), np.array([0.0, 1.0]),
+                                            np.zeros(2), np.zeros(2)))
 
     @settings(max_examples=300, deadline=None)
     @given(eta=st.floats(0.0, 1.0), alpha=st.floats(0.0, 1.0),
@@ -297,7 +319,7 @@ class TestSampleShot:
         noise = NoiseModel(1.0 / 7.0, 0.0)
         u = PoincareVector(1.0, 0.0, 0.0)
         t, tau_d, eta = 3.7e-6, 550e-9, 0.8
-        shot = StokesVector.from_array(
+        shot = StokesVector(*
             sample_shots(u, t, tau_d, eta, noise, 1, seed=5)[0])
         phi = faraday_frequency(noise.mean_bz) * (t + tau_d)
         expected = apply_mueller(memory_mueller(MemoryParams(eta, 1.0, phi)),
@@ -309,7 +331,7 @@ class TestSampleShot:
         noise = NoiseModel.from_preset("unsynchronized")
         u = PoincareVector(0.0, 1.0, 0.0)
         for seed in range(20):
-            shot = StokesVector.from_array(
+            shot = StokesVector(*
                 sample_shots(u, 1e-3, 0.0, 0.31, noise, 1, seed)[0])
             norm = math.sqrt(shot.s1**2 + shot.s2**2 + shot.s3**2) / shot.s0
             assert norm == pytest.approx(1.0, abs=1e-12)
@@ -353,7 +375,7 @@ class TestSampleShot:
         # unitary rotation cannot reduce the s3 fidelity of circular light
         noise = NoiseModel.from_preset("unsynchronized")
         u = PoincareVector(0.0, 0.0, 1.0)
-        shot = StokesVector.from_array(
+        shot = StokesVector(*
             sample_shots(u, 1e-3, 0.0, 1.0, noise, 1, seed=12)[0])
         out = PoincareVector(shot.s1 / shot.s0, shot.s2 / shot.s0,
                              shot.s3 / shot.s0)

@@ -54,6 +54,18 @@ class TestPoincare:
         with pytest.raises(ValueError):
             poincare(StokesVector(0, 0, 0, 0))
 
+    def test_stack(self):
+        u = poincare(StokesVector(np.array([2.0, 1.0]), np.array([2.0, 0.0]),
+                                  np.zeros(2), np.array([0.0, -1.0])))
+        assert u.as_array().tolist() == [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]
+
+    @pytest.mark.parametrize("s0", [0.0, -1.0])
+    def test_stack_with_one_nonpositive_intensity_rejected(self, s0):
+        with pytest.raises(ValueError,
+                           match="^Poincare vector undefined for s0 <= 0$"):
+            poincare(StokesVector(np.array([1.0, s0]), np.array([1.0, 0.0]),
+                                  np.zeros(2), np.zeros(2)))
+
 
 class TestFidelity:
     def test_identical_states(self):
@@ -98,7 +110,7 @@ class TestMeasure:
         # i_minus is defined as the complement, so the sum is exact up to
         # one rounding ulp of s0
         for row in random_physical_stokes(rng, 200):
-            s = StokesVector.from_array(row)
+            s = StokesVector(*row)
             for basis in (BASIS_HV, BASIS_DA, BASIS_RL):
                 plus, minus = measure(s, basis)
                 assert plus + minus == pytest.approx(s.s0, rel=5e-16)
@@ -106,7 +118,7 @@ class TestMeasure:
 
     def test_arbitrary_axis_positivity(self, rng):
         for row in random_physical_stokes(rng, 100):
-            s = StokesVector.from_array(row)
+            s = StokesVector(*row)
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             plus, minus = measure(s, MeasurementBasis(PoincareVector(*axis)))
@@ -134,7 +146,7 @@ class TestRoundTrip:
         # cancellation in i_plus - i_minus amplifies single-ulp rounding,
         # hence the absolute floor
         for row in random_physical_stokes(rng, 300):
-            s = StokesVector.from_array(row)
+            s = StokesVector(*row)
             r = self.reconstruct(s)
             np.testing.assert_allclose(r.as_array(), s.as_array(),
                                        rtol=1e-12, atol=1e-14)
@@ -157,6 +169,21 @@ class TestPhysicalityClamp:
 
     def test_degree_of_polarization(self):
         assert StokesVector(2, 0, 1, 0).degree_of_polarization == 0.5
+
+    def test_degree_of_polarization_of_a_stack(self):
+        s = StokesVector(np.array([2.0, 4.0]), np.zeros(2),
+                         np.array([1.0, 4.0]), np.zeros(2))
+        assert s.degree_of_polarization.tolist() == [0.5, 1.0]
+
+    @pytest.mark.parametrize("s0", [0.0, -1.0])
+    def test_degree_of_polarization_of_a_stack_with_one_nonpositive_s0(
+            self, s0):
+        s = StokesVector(np.array([2.0, s0]), np.zeros(2), np.ones(2),
+                         np.zeros(2))
+        with pytest.raises(
+                ValueError,
+                match="^degree of polarization undefined for s0 <= 0$"):
+            s.degree_of_polarization
 
 
 class TestMeasurementBasis:
@@ -245,6 +272,21 @@ class TestBroadcast:
         broadcast_outcome(stokes_from_intensities,
                           [[i[k] for i in intensities]
                            for k in range(len(rows))], intensities)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(STATES, min_size=1, max_size=6))
+    @example(states=[(1.0, (1.0, 0.0, 0.0), 1.0 + 2e-10),
+                     (1.0, (0.0, 0.6, 0.8), 1.0 + 1e-6)])
+    def test_is_physical_is_the_clamps_test(self, states):
+        # per state, a stack's is_physical is its scalar call's, and true
+        # exactly where clamp_physical accepts the state
+        rows = stokes_rows(states)
+        singles = [StokesVector(*row) for row in rows]
+        expected = [bool(s.is_physical()) for s in singles]
+        assert StokesVector(*np.array(rows).T).is_physical().tolist() \
+            == expected
+        assert expected == [not isinstance(outcome(clamp_physical, s), str)
+                            for s in singles]
 
     def test_one_negative_intensity_raises_its_error(self):
         good = np.full(3, 0.5)

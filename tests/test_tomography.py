@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from becmemory import commands
+from becmemory.cli import main
 from becmemory.config import RunConfig
 from becmemory.eit import optical_depth, pulse_delay
 from becmemory.memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix,
@@ -17,11 +18,11 @@ from becmemory.memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix,
                               sigma_alpha_from_noise)
 from becmemory.polarization import (BASIS_DA, BASIS_HV, BASIS_RL,
                                     StokesVector, measure, poincare)
-from becmemory.tomography import (ANALYZERS, TomographyRecord,
+from becmemory.tomography import (ANALYZERS, StructureWarning,
                                   canonical_inputs, extract_memory_params,
                                   process_tomography, state_tomography)
 
-LABELS = ("H", "D", "R", "L")
+from conftest import column, read_table
 
 
 def readings_for(s: StokesVector, rng=None, sigma=0.0):
@@ -34,11 +35,14 @@ def readings_for(s: StokesVector, rng=None, sigma=0.0):
     return out
 
 
-def record_for_matrix(m: np.ndarray) -> TomographyRecord:
-    inputs = canonical_inputs()
-    outputs = tuple(StokesVector.from_array(m @ inputs[k].as_array())
-                    for k in LABELS)
-    return TomographyRecord(tuple(inputs[k] for k in LABELS), outputs)
+def outputs_for(m: np.ndarray) -> StokesVector:
+    """The stack of states the process m makes of canonical_inputs()."""
+    return StokesVector(*(m @ canonical_inputs().as_array()))
+
+
+def stack(states) -> StokesVector:
+    """One stack of the given states, in their order."""
+    return StokesVector(*np.transpose([s.as_array() for s in states]))
 
 
 class TestStateTomography:
@@ -127,7 +131,8 @@ def looped_tomography(cfg, t_store, eta, noise, shots, rep_tags):
         if cfg.raw["rotation.include_pulse_delay"] else 0.0
     rng = np.random.default_rng(seed(7))
     readings, outputs = [], []
-    for k, s_in in enumerate(canonical_inputs().values()):
+    for k, column in enumerate(canonical_inputs().as_array().T):
+        s_in = StokesVector(*column)
         if shots == 0:
             alpha = damping_factor(t_store,
                                    sigma_alpha_from_noise(noise.sigma_b))
@@ -138,7 +143,7 @@ def looped_tomography(cfg, t_store, eta, noise, shots, rep_tags):
         else:
             out = sample_shots(poincare(s_in), t_store, tau_d, eta, noise,
                                shots, seed(k)).mean(axis=0)
-        s_out = StokesVector.from_array(out * cfg.attenuation_factor())
+        s_out = StokesVector(*(out * cfg.attenuation_factor()))
         pairs = {}
         for key, basis in ANALYZERS.items():
             pair = apply_detector_noise(
@@ -147,9 +152,8 @@ def looped_tomography(cfg, t_store, eta, noise, shots, rep_tags):
             pairs[key] = (float(pair[0]), float(pair[1]))
         readings.append([pairs[key] for key in ANALYZERS])
         outputs.append(state_tomography(pairs).stokes)
-    record = TomographyRecord(tuple(canonical_inputs().values()),
-                              tuple(outputs))
-    params, residual = extract_memory_params(process_tomography(record))
+    params, residual = extract_memory_params(
+        process_tomography(canonical_inputs(), stack(outputs)))
     return readings, outputs, params, residual
 
 
@@ -195,9 +199,9 @@ class TestArrayPass:
             assert got == expected
             return
         readings, outputs, params, residual = expected
-        got_readings, record, got_params, got_residual = got
+        got_readings, got_outputs, got_params, got_residual = got
         assert got_readings.tobytes() == np.array(readings).tobytes()
-        assert [bits(s) for s in record.outputs] \
+        assert [bits(got_outputs, k) for k in range(4)] \
             == [bits(s) for s in outputs]
         assert (got_params, got_residual) == (params, residual)
 
@@ -206,45 +210,59 @@ class TestProcessTomography:
     def test_exact_recovery_random_matrices(self, rng):
         for _ in range(20):
             m_true = rng.normal(size=(4, 4))
-            recovered = process_tomography(record_for_matrix(m_true)).m
+            recovered = process_tomography(canonical_inputs(),
+                                           outputs_for(m_true)).m
             np.testing.assert_allclose(recovered, m_true, atol=1e-12)
 
     def test_structured_matrix(self):
         m_true = memory_mueller(MemoryParams(0.3, 0.9, 0.7)).m
-        recovered = process_tomography(record_for_matrix(m_true)).m
+        recovered = process_tomography(canonical_inputs(),
+                                       outputs_for(m_true)).m
         np.testing.assert_allclose(recovered, m_true, atol=1e-12)
 
-    def test_condition_number_reported(self):
-        record = record_for_matrix(np.eye(4))
-        assert record.condition_number == pytest.approx(
-            np.linalg.cond(record.input_matrix))
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_stack_of_other_than_4_states_rejected(self, n):
+        states = StokesVector(*np.ones((4, n)))
+        for args in ((states, states), (canonical_inputs(), states),
+                     (states, canonical_inputs())):
+            with pytest.raises(ValueError, match="needs 4 input/output"):
+                process_tomography(*args)
+
+    def test_condition_number_column(self, tmp_path):
+        # computed once per run, from the canonical input matrix
+        out = tmp_path / "tomo.csv"
+        assert main(["tomography", "--out", str(out),
+                     "--set", "tomography.repeats=3"]) == 0
+        _, header, rows = read_table(str(out))
+        cond = np.linalg.cond(canonical_inputs().as_array())
+        assert len(rows) == 36
+        assert column(header, rows, "condition_number") == [cond] * 36
 
     def test_ill_conditioned_inputs_rejected(self):
         h = StokesVector(1, 1, 0, 0)
         d = StokesVector(1, 0, 1, 0)
         r = StokesVector(1, 0, 0, 1)
         almost_h = StokesVector(1, 1, 1e-12, 0)
-        record = TomographyRecord((h, almost_h, d, r), (h, almost_h, d, r))
+        states = stack((h, almost_h, d, r))
         with pytest.raises(np.linalg.LinAlgError):
-            process_tomography(record)
+            process_tomography(states, states)
 
     def test_noisy_recovery_unbiased(self):
         m_true = memory_mueller(MemoryParams(0.3, 0.9, 0.7)).m
         inputs = canonical_inputs()
         rng = np.random.default_rng(7)
-        stack = []
+        matrices = []
         for _ in range(1000):
             outputs = []
-            for k in LABELS:
-                s = StokesVector.from_array(m_true @ inputs[k].as_array())
+            for column in (m_true @ inputs.as_array()).T:
+                s = StokesVector(*column)
                 outputs.append(state_tomography(
                     readings_for(s, rng, sigma=0.01)).stokes)
-            rec = TomographyRecord(tuple(inputs[k] for k in LABELS),
-                                   tuple(outputs))
-            stack.append(process_tomography(rec).m)
-        stack = np.array(stack)
-        se = stack.std(axis=0, ddof=1) / math.sqrt(len(stack))
-        pulls = np.abs(stack.mean(axis=0) - m_true) / np.where(se > 0, se, 1)
+            matrices.append(process_tomography(inputs, stack(outputs)).m)
+        matrices = np.array(matrices)
+        se = matrices.std(axis=0, ddof=1) / math.sqrt(len(matrices))
+        pulls = np.abs(matrices.mean(axis=0) - m_true) \
+            / np.where(se > 0, se, 1)
         assert pulls.max() < 3.0
 
 
@@ -290,7 +308,7 @@ class TestExtractMemoryParams:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             params, residual = extract_memory_params(
-                process_tomography(record_for_matrix(m)))
+                process_tomography(canonical_inputs(), outputs_for(m)))
         assert abs(params.eta - eta) / eta <= 1e-12
         assert abs(params.alpha - alpha) <= 1e-12
         # phi is defined modulo 2 pi and only as well as alpha resolves it
@@ -310,7 +328,7 @@ class TestExtractMemoryParams:
     def test_structure_violation_warns(self):
         bad = np.eye(4)
         bad[0, 3] = 0.5
-        with pytest.warns(UserWarning):
+        with pytest.warns(StructureWarning):
             extract_memory_params(MuellerMatrix(bad))
 
 
@@ -320,23 +338,27 @@ class TestNoiseScaling:
         # noise scale while the bias stays at the noise floor
         m_true = memory_mueller(MemoryParams(0.3, 0.9, 0.7)).m
         inputs = canonical_inputs()
+        states = outputs_for(m_true)
+        ports = np.array([measure(states, basis)
+                          for basis in ANALYZERS.values()])
         epsilons = (0.01, 0.025, 0.05)
+        n = 1500
         spreads = {"eta": [], "alpha": []}
         for eps in epsilons:
             rng = np.random.default_rng(2024)
+            # drawn repetition- then input-major, as (n, 4, 3, 2)
+            readings = apply_detector_noise(
+                np.broadcast_to(ports.transpose(2, 0, 1), (n, 4, 3, 2)),
+                rng, eps)
+            outputs = state_tomography(
+                dict(zip(ANALYZERS, readings.transpose(2, 3, 0, 1))))
+            outputs = outputs.stokes.as_array()
             etas, alphas = [], []
-            for _ in range(1500):
-                outputs = []
-                for k in LABELS:
-                    s = StokesVector.from_array(m_true @
-                                                inputs[k].as_array())
-                    outputs.append(state_tomography(
-                        readings_for(s, rng, sigma=eps)).stokes)
-                rec = TomographyRecord(tuple(inputs[k] for k in LABELS),
-                                       tuple(outputs))
+            for rep in range(n):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    params, _ = extract_memory_params(process_tomography(rec))
+                    params, _ = extract_memory_params(process_tomography(
+                        inputs, StokesVector(*outputs[:, rep])))
                 etas.append(params.eta)
                 alphas.append(params.alpha)
             for name, values, truth in (("eta", etas, 0.3),

@@ -6,10 +6,10 @@ Usage (from anywhere inside the repository):
 
 Each revision is checked out into its own temporary clone, as
 ``tools/bench_pairs.py`` does.  Both run ``python -m becmemory.cli`` from
-their own ``src`` on the same 126 inputs: every parameter set of
+their own ``src`` on the same 128 inputs: every parameter set of
 perfbench's two CLI workloads (9 command variants x 12 sets, read from
 ``perfbench/workloads.py``), each variant once with its defaults (fig3
-to fig8, tomography, and optimize averaged and on axis), and nine runs
+to fig8, tomography, and optimize averaged and on axis), and eleven runs
 of paths that no parameter set takes.  Four have the detector noise off
 (``detector.relative_sigma=0``): tomography with exact states, with
 3 x 300 shots and with attenuation on at sigma_B = 0, and fig4.  Four add
@@ -18,11 +18,15 @@ the slow-light delay to the rotation angle
 exact states and with 3 x 300 shots.  One runs tomography with 3 x 300
 shots at sigma_B = 0 and the detector noise on: every shot is the same,
 so their mean can leave the Poincare sphere by rounding, and this run
-takes ``clamp_physical``'s scaling branch.  The parameter
+takes ``clamp_physical``'s scaling branch.  Two run at a large detector
+noise (``detector.relative_sigma=0.8``): tomography with 3 repeats, whose
+reconstructions leave the memory form and print structure warnings, and
+fig4, which suppresses those warnings and so prints none.  The parameter
 sets, ``perfbench/checks.py`` and ``perfbench/reference.json`` are read
 from PARENT's clone and never written.
 
-It prints how many CSVs are byte-identical; for each column that changed,
+It prints how many CSVs are byte-identical; the runs whose stderr differs
+byte for byte; for each column that changed,
 per command variant, the largest |change| over the column's scale (the
 largest |value| PARENT wrote in it) and how many cells changed; every
 metadata line that changed; and every ``check_table`` failure of either
@@ -50,6 +54,7 @@ NOISELESS = ["--set", "detector.relative_sigma=0"]
 DELAY = ["--set", "rotation.include_pulse_delay=true"]
 SHOTS = ["--set", "tomography.shots=300", "--set", "tomography.repeats=3"]
 STATIC_FIELD = ["--set", "noise.preset=custom", "--set", "noise.sigma_b_mg=0"]
+NOISY = ["--set", "detector.relative_sigma=0.8"]
 EXTRA_RUNS = {
     "tomography/noiseless": ["tomography", *NOISELESS],
     "tomography/noiseless-shots": ["tomography", *NOISELESS, *SHOTS],
@@ -62,6 +67,9 @@ EXTRA_RUNS = {
     "tomography/pulse-delay": ["tomography", *DELAY],
     "tomography/pulse-delay-shots": ["tomography", *DELAY, *SHOTS],
     "tomography/static-field-shots": ["tomography", *SHOTS, *STATIC_FIELD],
+    "tomography/noisy-detector": ["tomography", *NOISY,
+                                  "--set", "tomography.repeats=3"],
+    "fig4/noisy-detector": ["fig4", *NOISY],
 }
 
 
@@ -77,12 +85,11 @@ def inputs(workloads):
 
 
 def run_cli(tree, argv, cwd):
-    """Exit code and last stderr line of one CLI run."""
+    """Exit code and stderr of one CLI run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, "-m", "becmemory.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True, text=True)
-    lines = proc.stderr.strip().splitlines()
-    return proc.returncode, lines[-1] if lines else ""
+                          cwd=cwd, env=env, capture_output=True)
+    return proc.returncode, proc.stderr
 
 
 def split(text):
@@ -146,6 +153,7 @@ def main(argv=None):
 
         runs = inputs(workloads)
         texts = {}
+        errs = {}
         failures = []
         for label, _, params, default_argv in runs:
             for side, tree in trees.items():
@@ -153,9 +161,11 @@ def main(argv=None):
                 out.parent.mkdir(parents=True, exist_ok=True)
                 cli_argv = workloads.cli_args(params, str(out)) if params \
                     else [*default_argv, "--out", str(out)]
-                code, err = run_cli(tree, cli_argv, tmp)
+                code, errs[side, label] = run_cli(tree, cli_argv, tmp)
                 if code != 0:
-                    failures.append(f"{side} {label}: exit {code}: {err}")
+                    last = errs[side, label].decode(errors="replace")
+                    last = (last.strip().splitlines() or [""])[-1]
+                    failures.append(f"{side} {label}: exit {code}: {last}")
                 else:
                     texts[side, label] = out.read_text(encoding="utf-8")
 
@@ -163,6 +173,8 @@ def main(argv=None):
     columns = {}         # (variant, column) -> [worst, cells changed, cells]
     meta_lines = []
     layout = []
+    stderr = [label for label, *_ in runs
+              if errs["parent", label] != errs["change", label]]
     checked = {"parent": [], "change": []}
     for label, variant, params, _ in runs:
         if ("parent", label) not in texts or ("change", label) not in texts:
@@ -202,7 +214,8 @@ def main(argv=None):
         print(f"  {variant:18s} {name:24s} {size:>10s}  {changed}/{cells}")
     if not columns:
         print("  none")
-    for title, lines in (("changed metadata lines", meta_lines),
+    for title, lines in (("runs whose stderr differs", stderr),
+                         ("changed metadata lines", meta_lines),
                          ("changed table layouts", layout),
                          ("failed runs", failures),
                          ("check_table failures, parent", checked["parent"]),
