@@ -40,7 +40,7 @@ def outputs_for(m: np.ndarray) -> StokesVector:
     return StokesVector(*(m @ canonical_inputs().as_array()))
 
 
-def stack(states) -> StokesVector:
+def stack_of(states) -> StokesVector:
     """One stack of the given states, in their order."""
     return StokesVector(*np.transpose([s.as_array() for s in states]))
 
@@ -131,8 +131,8 @@ def looped_tomography(cfg, t_store, eta, noise, shots, rep_tags):
         if cfg.raw["rotation.include_pulse_delay"] else 0.0
     rng = np.random.default_rng(seed(7))
     readings, outputs = [], []
-    for k, column in enumerate(canonical_inputs().as_array().T):
-        s_in = StokesVector(*column)
+    for k, values in enumerate(canonical_inputs().as_array().T):
+        s_in = StokesVector(*values)
         if shots == 0:
             alpha = damping_factor(t_store,
                                    sigma_alpha_from_noise(noise.sigma_b))
@@ -153,7 +153,7 @@ def looped_tomography(cfg, t_store, eta, noise, shots, rep_tags):
         readings.append([pairs[key] for key in ANALYZERS])
         outputs.append(state_tomography(pairs).stokes)
     params, residual = extract_memory_params(
-        process_tomography(canonical_inputs(), stack(outputs)))
+        process_tomography(canonical_inputs(), stack_of(outputs)))
     return readings, outputs, params, residual
 
 
@@ -243,7 +243,7 @@ class TestProcessTomography:
         d = StokesVector(1, 0, 1, 0)
         r = StokesVector(1, 0, 0, 1)
         almost_h = StokesVector(1, 1, 1e-12, 0)
-        states = stack((h, almost_h, d, r))
+        states = stack_of((h, almost_h, d, r))
         with pytest.raises(np.linalg.LinAlgError):
             process_tomography(states, states)
 
@@ -254,11 +254,11 @@ class TestProcessTomography:
         matrices = []
         for _ in range(1000):
             outputs = []
-            for column in (m_true @ inputs.as_array()).T:
-                s = StokesVector(*column)
+            for values in (m_true @ inputs.as_array()).T:
+                s = StokesVector(*values)
                 outputs.append(state_tomography(
                     readings_for(s, rng, sigma=0.01)).stokes)
-            matrices.append(process_tomography(inputs, stack(outputs)).m)
+            matrices.append(process_tomography(inputs, stack_of(outputs)).m)
         matrices = np.array(matrices)
         se = matrices.std(axis=0, ddof=1) / math.sqrt(len(matrices))
         pulls = np.abs(matrices.mean(axis=0) - m_true) \
