@@ -20,6 +20,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .numerics import maximize
+
 
 # Tolerance of the solver on the step, the decrease and the gradient.
 LSQ_TOL = 1e-13
@@ -82,8 +84,9 @@ def least_squares(fun, x0, jac=None, max_nfev=2000):
             trial = fun(x + step)   # an overflowing step is rejected below
             trial_cost = float(trial @ trial)
         nfev += 1
-        small = np.linalg.norm(np.sqrt(d) * step) \
-            <= LSQ_TOL * np.linalg.norm(np.sqrt(d) * x)
+        scale = np.sqrt(d)
+        small = np.linalg.norm(scale * step) \
+            <= LSQ_TOL * np.linalg.norm(scale * x)
         if trial_cost < cost:
             predicted = -float(2.0 * g @ step + step @ a @ step)
             decrease = cost - trial_cost
@@ -149,13 +152,15 @@ class FitResult:
 def _finish(names, data: DataSeries, model, p0, jacobian=None) -> FitResult:
     """Fit ``model(p, x)`` to ``data`` from ``p0`` by ``least_squares``,
     with ``jacobian(p, x)``, the model's Jacobian, when given."""
-    weights = 1.0 / data.sigma_y if data.sigma_y is not None else 1.0
+    weights = None if data.sigma_y is None else 1.0 / data.sigma_y
 
     def residuals(p):
-        return (model(p, data.x) - data.y) * weights
+        r = model(p, data.x) - data.y
+        return r if weights is None else r * weights
 
     def weighted_jacobian(p):
-        return jacobian(p, data.x) * np.reshape(weights, (-1, 1))
+        j = jacobian(p, data.x)
+        return j if weights is None else j * weights[:, None]
 
     result = least_squares(residuals, p0,
                            None if jacobian is None else weighted_jacobian)
@@ -183,18 +188,17 @@ FFT_MAX_SAMPLES = 1 << 22
 # of its trace; the sine axis is then rounding noise.
 GRAM_RTOL = 1e-12
 # Grid points of the zoom over its +-2 step window, and the width, in steps,
-# to which the golden-section search narrows the bracket around the best.
+# to which Brent's method narrows the bracket around the best.
 ZOOM_POINTS = 17
 ZOOM_XTOL = 1e-7
-# Past ZOOM_XTOL steps the search goes on while its two inner values differ
-# by more than ZOOM_FTOL of the larger, down to a bracket ZOOM_XMIN of the
-# frequency wide, a few dozen ulps.  At a smooth peak the values agree by
-# then.  At the edge of the band around a lattice's Nyquist frequency,
-# where the sine term is dropped, the variance jumps, and the largest value
-# lies at the edge itself, which the bracket then narrows onto.
+# Past ZOOM_XTOL steps golden-section steps go on while the two best values
+# differ by more than ZOOM_FTOL of the larger, down to a bracket ZOOM_XMIN
+# of the frequency wide, a few dozen ulps.  At a smooth peak the values
+# agree by then.  At the edge of the band around a lattice's Nyquist
+# frequency, where the sine term is dropped, the variance jumps, and the
+# largest value lies at the edge itself, which the bracket narrows onto.
 ZOOM_FTOL = 1e-12
 ZOOM_XMIN = 1e-14
-GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def _explained(freqs, x, ye, e2):
@@ -212,23 +216,32 @@ def _explained(freqs, x, ye, e2):
     is at most ``GRAM_RTOL`` of sum e2 the columns are parallel, and only
     the projection onto the cosine axis is kept.
     """
+    return _explained_by(x, ye, e2)(freqs)
+
+
+def _explained_by(x, ye, e2):
+    """``_explained`` of (x, ye, e2) as a function of the frequencies alone,
+    which centres x and sums e2 once."""
     # The value is unchanged by a shift of x; centring it keeps the
     # phases, and their rounding errors, small.
     x = x - 0.5 * (x.min() + x.max())
-    phase = np.exp(-2j * math.pi * freqs[:, None] * x)
-    # The sums over samples go through einsum, not ``@``: OpenBLAS hands a
-    # complex matrix-vector product of a few thousand elements to its
-    # worker threads, which then spin on a second core between calls and
-    # make the fit's speed depend on whatever else runs on the machine.
-    z1 = np.einsum("fn,n->f", phase, ye)     # sum ye (cos - i sin)
     sum_e2 = e2.sum()
-    rotation = np.exp(-0.5j * np.angle(np.einsum("fn,n->f", phase * phase,
-                                                 e2)))
-    z1 = z1 * rotation                       # the same, rotated
-    sin2 = np.einsum("fn,n->f", (phase * rotation[:, None]).imag**2, e2)
-    parallel = sin2 <= GRAM_RTOL * sum_e2
-    return z1.real**2 / (sum_e2 - sin2) + np.where(
-        parallel, 0.0, z1.imag**2 / np.where(parallel, 1.0, sin2))
+
+    def explained(freqs):
+        phase = np.exp(-2j * math.pi * freqs[:, None] * x)
+        # The sums over samples go through einsum, not ``@``: OpenBLAS hands
+        # a complex matrix-vector product of a few thousand elements to its
+        # worker threads, which then spin on a second core between calls and
+        # make the fit's speed depend on whatever else runs on the machine.
+        z1 = np.einsum("fn,n->f", phase, ye)     # sum ye (cos - i sin)
+        rotation = np.exp(-0.5j * np.angle(np.einsum("fn,n->f",
+                                                     phase * phase, e2)))
+        z1 = z1 * rotation                       # the same, rotated
+        sin2 = np.einsum("fn,n->f", (phase * rotation[:, None]).imag**2, e2)
+        parallel = sin2 <= GRAM_RTOL * sum_e2
+        return z1.real**2 / (sum_e2 - sin2) + np.where(
+            parallel, 0.0, z1.imag**2 / np.where(parallel, 1.0, sin2))
+    return explained
 
 
 def _coarse_scan(x, ye, span):
@@ -249,6 +262,8 @@ def _coarse_scan(x, ye, span):
     To keep the FFT within ``FFT_MAX_SAMPLES``, n is capped at
     FFT_MAX_SAMPLES/4 - 1: a smaller gap coarsens the grid, and the band
     then ends below 0.5/dx rather than where the extirpolation fails.
+    The grid holds only nodes 0 to n + 2, which the rfft zero-pads, unless
+    a sample gives node -1, the DFT's node n_fft - 1, a non-zero weight.
     """
     dx = np.diff(np.unique(x)).min()
     sites = np.rint(span / dx)
@@ -264,52 +279,39 @@ def _coarse_scan(x, ye, span):
                                (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
                                -(t + 1.0) * t * (t - 2.0) / 2.0,
                                (t + 1.0) * t * (t - 1.0) / 6.0])
-    # Node -1 of a sample before the first node indexes the grid's end,
-    # the same place for the DFT, whose period is n_fft delta.
     nodes = np.floor(u).astype(np.intp)[:, None] + np.arange(-1, 3)
-    grid = np.zeros(n_fft)
+    # node -1 wraps to the grid's end: the DFT's node n_fft - 1, or, for a
+    # zero weight, node n + 3, which no sample reaches
+    grid = np.zeros(n_fft if np.any(weights[nodes[:, 0] < 0, 0]) else n + 4)
     np.add.at(grid, nodes, weights * ye[:, None])
     bin_width = 1.0 / (n_fft * delta)
     first = math.ceil(0.25 / (span * bin_width))
     top = n_fft // (2 * refine)
     # square only the ranked bins: off the lattice that is half the spectrum
-    power = np.abs(np.fft.rfft(grid)[first:top + 1])**2
+    power = np.abs(np.fft.rfft(grid, n_fft)[first:top + 1])**2
     return (first + int(np.argmax(power))) * bin_width
 
 
 def _zoom(x, ye, e2, best, step):
     """Frequency of the largest profiled variance within +-2 steps of best.
 
-    ``ZOOM_POINTS`` evenly spaced frequencies rank the window; a
-    golden-section search (Brent 1973, ch. 5) then narrows the bracket
-    between the best node's neighbours to ``ZOOM_XTOL`` steps, and further
-    while the values at its two inner points differ by more than
-    ``ZOOM_FTOL`` (see there).  At an edge node the bracket reaches one
-    spacing past the window, where the peak then lies.
+    ``ZOOM_POINTS`` evenly spaced frequencies rank the window; Brent's
+    method (``numerics.maximize``) then narrows the bracket between the
+    best node's neighbours, from that node, to ``ZOOM_XTOL`` steps, and
+    further while its two best values differ by more than ``ZOOM_FTOL``
+    (see there).  At an edge node the bracket reaches one spacing past the
+    window, where the peak then lies.
     """
     freqs = np.linspace(max(best - 2.0 * step, 0.0), best + 2.0 * step,
                         ZOOM_POINTS)
-    k = int(np.argmax(_explained(freqs, x, ye, e2)))
+    explained = _explained_by(x, ye, e2)
+    values = explained(freqs)
+    k = int(np.argmax(values))
     spacing = freqs[1] - freqs[0]
-    lo, hi = max(freqs[k] - spacing, 0.0), freqs[k] + spacing
-
-    def explained(f):
-        return _explained(np.array([f]), x, ye, e2)[0]
-
-    inner = [hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)]
-    vals = [explained(f) for f in inner]
-    while hi - lo > ZOOM_XTOL * step or (
-            abs(vals[0] - vals[1]) > ZOOM_FTOL * max(vals)
-            and hi - lo > ZOOM_XMIN * hi):
-        if vals[0] >= vals[1]:
-            hi = inner[1]
-            inner = [hi - GOLDEN * (hi - lo), inner[0]]
-            vals = [explained(inner[0]), vals[0]]
-        else:
-            lo = inner[0]
-            inner = [inner[1], lo + GOLDEN * (hi - lo)]
-            vals = [vals[1], explained(inner[1])]
-    return inner[0] if vals[0] >= vals[1] else inner[1]
+    return maximize(lambda f: explained(np.array([f]))[0],
+                    max(freqs[k] - spacing, 0.0), freqs[k] + spacing,
+                    freqs[k], values[k], ZOOM_XTOL * step, ZOOM_FTOL,
+                    ZOOM_XMIN)
 
 
 def _dominant_frequency(x, y, envelope) -> float:
@@ -370,7 +372,8 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
     init = init or {}
     kappa0 = 0.0 if undamped else 0.5 / float(init.get(
         "sigma_alpha", _second_moment_width(data.x, data.y)))**2
-    envelope = np.exp(-kappa0 * data.x**2)
+    x2 = data.x**2      # of the only x that _finish passes the model
+    envelope = np.exp(-kappa0 * x2)
     omega0 = float(init.get("omega_f",
                             _dominant_frequency(data.x, data.y, envelope)))
     # Phase and amplitude from a linear solve in (cos, sin) components.
@@ -383,15 +386,15 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
     def model(p, x):
         # an undamped fit leaves kappa out of p, pinned at 0
         amp, omega, phi0, kappa = (*p, 0.0)[:4]
-        return amp * np.exp(-kappa * x**2) * np.cos(omega * x - phi0)
+        return amp * np.exp(-kappa * x2) * np.cos(omega * x - phi0)
 
     def jacobian(p, x):
         amp, omega, phi0, kappa = (*p, 0.0)[:4]
-        e = np.exp(-kappa * x**2)
+        e = np.exp(-kappa * x2)
         phase = omega * x - phi0
         cos, sin = e * np.cos(phase), amp * e * np.sin(phase)
         return np.column_stack([cos, -sin * x, sin,
-                                -amp * cos * x**2][:len(p)])
+                                -amp * cos * x2][:len(p)])
 
     names = ("amplitude", "omega_f", "phi0", "kappa")
     fit = _finish(names[:n_params], data, model,

@@ -80,10 +80,13 @@ class NoiseModel:
         return cls(bz, NOISE_PRESETS[name], name)
 
 
+FARADAY_RATE = 2.0 * math.pi * MU_B_OVER_H * G_F * DELTA_MF   # rad/s/G
+
+
 def faraday_frequency(bz):
     """Angular Faraday rotation frequency of the Poincare vector, rad/s;
     ``bz`` broadcasts."""
-    return 2.0 * math.pi * MU_B_OVER_H * G_F * DELTA_MF * bz
+    return FARADAY_RATE * bz
 
 
 def rotation_angle(t_store, tau_d: float, omega_f):
@@ -170,14 +173,16 @@ def sample_shots(u_in: PoincareVector, t_store: float, tau_d: float,
     if abs(u_in.norm - 1.0) > 1e-6:
         raise ValueError("input state must be pure (unit Poincare vector)")
     rng = np.random.default_rng(seed)
-    bz = rng.normal(noise.mean_bz, noise.sigma_b, n)
-    phi = rotation_angle(t_store, tau_d, faraday_frequency(bz))
+    # rotation_angle(t_store, tau_d, faraday_frequency(bz)), in place; the
+    # call checks the times and gives t_store + tau_d
+    phi = rng.normal(noise.mean_bz, noise.sigma_b, n)
+    phi *= FARADAY_RATE
+    phi *= rotation_angle(t_store, tau_d, 1.0)
     c, s = np.cos(phi), np.sin(phi)
     out = np.empty((n, 4))
-    out[:, 0] = eta
-    out[:, 1] = eta * (c * u_in.u1 - s * u_in.u2)
-    out[:, 2] = eta * (s * u_in.u1 + c * u_in.u2)
-    out[:, 3] = eta * u_in.u3
+    out[:, 0], out[:, 3] = eta, eta * u_in.u3
+    np.multiply(c * u_in.u1 - s * u_in.u2, eta, out=out[:, 1])
+    np.multiply(s * u_in.u1 + c * u_in.u2, eta, out=out[:, 2])
     return out
 
 

@@ -1,20 +1,16 @@
-"""numpy kernels of the efficiency layer: erf, i0e and adaptive quadrature.
+"""numpy kernels: erf, i0e, adaptive quadrature and a bracketed maximizer.
 
 ``erf`` and ``i0e`` evaluate the Cephes approximations (Moshier) that
 scipy.special evaluates too.  ``quad`` is the vector-valued adaptive
 Gauss-Kronrod 21 rule of scipy's ``quad_vec`` (QUADPACK; Piessens et al.
 1983), calling the integrand once per round for all new intervals.
+``maximize`` is Brent's method on a bracket, for the fits.
 """
 
 import math
 import sys
 
 import numpy as np
-
-try:        # the Cephes i0 Chebyshev series behind np.i0
-    from numpy.lib._function_base_impl import _chbevl, _i0A, _i0B
-except ImportError:                                     # numpy < 2
-    from numpy.lib.function_base import _chbevl, _i0A, _i0B
 
 # Cephes ndtr.c: erf(x) = x T(x^2)/U(x^2) for |x| <= 1, else
 # 1 - exp(-x^2) P(|x|)/Q(|x|).  erfc(6) = 2.2e-17 is below half an ulp of
@@ -30,6 +26,31 @@ _ERF_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199,
           975.7085017432055, 1823.9091668790973, 2246.3376081871097,
           1656.6630919416134, 557.5353408177277)
 ERF_SATURATION = 6.0
+
+# Cephes i0.c: I0(x) exp(-x) is a Chebyshev series in x/2 - 2 for x <= 8,
+# and in 32/x - 2 times 1/sqrt(x) beyond; np.i0 sums the same series.
+_I0_A = (-4.4153416464793395e-18, 3.3307945188222384e-17,
+         -2.431279846547955e-16, 1.715391285555133e-15,
+         -1.1685332877993451e-14, 7.676185498604936e-14,
+         -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+         9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+         -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+         1.1173875391201037e-06, -4.4167383584587505e-06,
+         1.6448448070728896e-05, -5.754195010082104e-05,
+         0.00018850288509584165, -0.0005763755745385824, 0.0016394756169413357,
+         -0.004324309995050576, 0.010546460394594998, -0.02373741480589947,
+         0.04930528423967071, -0.09490109704804764, 0.17162090152220877,
+         -0.3046826723431984, 0.6767952744094761)
+_I0_B = (-7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+         3.461222867697461e-17, -2.8276239805165836e-16,
+         -3.425485619677219e-16, 1.7725601330565263e-15,
+         3.8116806693526224e-15, -9.554846698828307e-15,
+         -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+         7.180124451383666e-13, -1.7941785315068062e-12,
+         -1.3215811840447713e-11, -3.1499165279632416e-11,
+         1.1889147107846439e-11, 4.94060238822497e-10, 3.3962320257083865e-09,
+         2.266668990498178e-08, 2.0489185894690638e-07, 2.8913705208347567e-06,
+         6.889758346916825e-05, 0.0033691164782556943, 0.8044904110141088)
 
 # QUADPACK qk21 on [-1, 1]: the non-negative Kronrod nodes and their
 # weights, and the weights of the Gauss nodes among them (odd positions).
@@ -71,13 +92,21 @@ def erf(x):
     return out[()]
 
 
+def _chbevl(x, coef):
+    """Chebyshev series of ``coef`` at x, summed as Cephes chbevl.c does."""
+    b0, b1, b2 = coef[0], 0.0, 0.0
+    for c in coef[1:]:
+        b0, b1, b2 = x * b0 - b1 + c, b0, b1
+    return 0.5 * (b0 - b2)
+
+
 def i0e(x):
     """Exponentially scaled modified Bessel function I0(x) exp(-|x|)."""
     x = np.asarray(np.abs(x), float)
     out = np.empty_like(x)
     low = x <= 8.0
-    out[low] = _chbevl(x[low] / 2.0 - 2.0, _i0A)
-    out[~low] = _chbevl(32.0 / x[~low] - 2.0, _i0B) / np.sqrt(x[~low])
+    out[low] = _chbevl(x[low] / 2.0 - 2.0, _I0_A)
+    out[~low] = _chbevl(32.0 / x[~low] - 2.0, _I0_B) / np.sqrt(x[~low])
     return out[()]
 
 
@@ -164,3 +193,43 @@ def quad(f, a, b, epsabs=1e-200, epsrel=1e-8, limit=10000):
             break
     value = float(total[0]) if shape == () else total.reshape(shape)
     return value, float(error + rounding)
+
+
+def maximize(f, lo, hi, x, fx, xtol, ftol=math.inf, xmin=0.0):
+    """Point of the largest f found in [lo, hi], from x in it, fx = f(x).
+
+    Brent's method (*Algorithms for Minimization without Derivatives*, 1973,
+    ch. 5; scipy's ``fminbound``) narrows the bracket to ``xtol`` by steps
+    no shorter than xtol/4.  Golden-section steps then go on while the two
+    best values differ by more than ``ftol`` of the larger, down to a
+    bracket ``xmin`` > 0 of its larger end wide: so it narrows onto a jump
+    of f whose largest value lies at the jump.
+    """
+    w, fw, v, fv, d, e = x, fx, x, fx, 0.0, 0.0
+    while hi - lo > xtol or (abs(fx - fw) > ftol * max(abs(fx), abs(fw))
+                             and hi - lo > xmin * max(abs(lo), abs(hi))):
+        brent = hi - lo > xtol
+        tol = sys.float_info.epsilon * abs(x) + (0.25 * xtol if brent else 0)
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q, last, e = -p if q > 0 else p, abs(q), e, d
+        if brent and abs(last) > tol and abs(p) < abs(0.5 * q * last) \
+                and q * (lo - x) < p < q * (hi - x):
+            d = p / q
+            if min(x + d - lo, hi - x - d) < 2.0 * tol:
+                d = math.copysign(tol, 0.5 * (lo + hi) - x)
+        else:       # golden section of the larger part
+            e = (lo if x >= 0.5 * (lo + hi) else hi) - x
+            d = 0.5 * (3.0 - math.sqrt(5.0)) * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            lo, hi = (x, hi) if u >= x else (lo, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v in (x, w):
+                v, fv = u, fu
+    return x

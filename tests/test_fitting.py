@@ -342,6 +342,10 @@ class TestFrequencyScan:
     # same bins, so it finds the same frequency; off a lattice it is the
     # double grid's scan, bit for bit.
     @settings(max_examples=200, deadline=None)
+    # A lattice whose second sample rounds to just below node 1, which so
+    # gets a weight on node -1: the grid then takes the FFT's full length.
+    @example(seed=4213142193, n_sites=86, offset=0.1, delta=0.03,
+             damped=True, jitter=0.0)
     @given(**dict(ORACLE_TRACES,
                   jitter=st.just(0.0) | ORACLE_TRACES["jitter"]))
     def test_scan_matches_the_double_grid_scan(
@@ -388,6 +392,27 @@ class TestFrequencyScan:
         found = fitting._zoom(x, ye, env**2, 2.0, 0.25 / span)
         value = fitting._explained(np.array([found]), x, ye, env**2)[0]
         assert value == pytest.approx(3.4979161475, rel=1e-9)
+
+    def test_zoom_on_fig3_takes_few_evaluations(self, monkeypatch):
+        # a golden-section search took 36 evaluations of the profiled
+        # variance here, the 17-point ranking grid counted as one
+        x, y, env = fig3_trace()
+        ye = (y - y.mean()) * env
+        best = fitting._coarse_scan(x, ye, np.ptp(x))
+        sizes = []
+        explained_by = fitting._explained_by
+
+        def counted_by(*args):
+            explained = explained_by(*args)
+
+            def counted(freqs):
+                sizes.append(freqs.size)
+                return explained(freqs)
+            return counted
+
+        monkeypatch.setattr(fitting, "_explained_by", counted_by)
+        fitting._zoom(x, ye, env**2, best, 0.25 / np.ptp(x))
+        assert sizes[0] == fitting.ZOOM_POINTS and len(sizes) <= 16
 
     def test_zoom_reaches_the_window_maximum(self):
         found, window = zoom_against_window(*fig3_trace())

@@ -371,6 +371,30 @@ class TestSampleShot:
         assert mean[0] == pytest.approx(expected[0], rel=1e-12)
         assert mean[3] == pytest.approx(expected[3], rel=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(theta=st.floats(0.0, math.pi), azimuth=st.floats(0.0, TWO_PI),
+           t_store=st.floats(0.0, 5e-3), tau_d=st.floats(0.0, 1e-6),
+           eta=st.floats(0.0, 1.0), mean_bz=st.floats(-1.0, 1.0),
+           sigma_b=st.floats(0.0, 1e-2), n=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_rotation_formula_bit_for_bit(
+            self, theta, azimuth, t_store, tau_d, eta, mean_bz, sigma_b, n,
+            seed):
+        u = PoincareVector(math.sin(theta) * math.cos(azimuth),
+                           math.sin(theta) * math.sin(azimuth),
+                           math.cos(theta))
+        shots = sample_shots(u, t_store, tau_d, eta,
+                             NoiseModel(mean_bz, sigma_b), n, seed)
+        bz = np.random.default_rng(seed).normal(mean_bz, sigma_b, n)
+        phi = 2.0 * math.pi * MU_B_OVER_H * G_F * DELTA_MF * bz \
+            * (t_store + tau_d)
+        c, s = np.cos(phi), np.sin(phi)
+        expected = np.column_stack([
+            np.full(n, eta), eta * (c * u.u1 - s * u.u2),
+            eta * (s * u.u1 + c * u.u2), np.full(n, eta * u.u3)])
+        assert shots.shape == (n, 4) and shots.flags.c_contiguous
+        assert shots.tobytes() == expected.tobytes()
+
     def test_fidelity_of_rotated_shot(self):
         # unitary rotation cannot reduce the s3 fidelity of circular light
         noise = NoiseModel.from_preset("unsynchronized")

@@ -1,5 +1,6 @@
 """numpy erf, i0e and quad against scipy, which is only a test oracle here,
-and gauss_legendre against numpy's eigenvalue-based leggauss."""
+gauss_legendre against numpy's eigenvalue-based leggauss, and the bracketed
+maximizer on a smooth peak and on a jump."""
 
 import math
 
@@ -11,12 +12,12 @@ from scipy.integrate import quad_vec
 from scipy.special import erf as scipy_erf
 from scipy.special import i0e as scipy_i0e
 
-from becmemory import efficiency
+from becmemory import efficiency, numerics
 from becmemory.cli import main
 from becmemory.efficiency import (PulseParams, _eta_on_depth, _radial_line,
                                   _radial_weight, transverse_average_eta)
 from becmemory.eit import MediumParams
-from becmemory.numerics import erf, gauss_legendre, i0e, quad
+from becmemory.numerics import erf, gauss_legendre, i0e, maximize, quad
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 6.0, -6.0, 8.0, -8.0, 1e-300, -1e-300,
            math.inf, -math.inf, math.nan]
@@ -50,6 +51,20 @@ def test_i0e_equals_scipy():
                          math.nan]])
     assert np.array_equal(i0e(x), scipy_i0e(x), equal_nan=True)
     assert isinstance(i0e(3.0), float) and i0e(3.0) == scipy_i0e(3.0)
+
+
+def test_i0_coefficients_are_numpys():
+    # numpy's copies are private names, which a numpy release may drop
+    try:
+        from numpy.lib._function_base_impl import _chbevl, _i0A, _i0B
+    except ImportError:
+        pytest.skip("numpy's Cephes i0 coefficients are not importable")
+    assert numerics._I0_A == tuple(_i0A) and numerics._I0_B == tuple(_i0B)
+    x = np.linspace(0.0, 100.0, 10_001)
+    low, high = x[x <= 8.0], x[x > 8.0]
+    ref = np.concatenate([_chbevl(low / 2.0 - 2.0, _i0A),
+                          _chbevl(32.0 / high - 2.0, _i0B) / np.sqrt(high)])
+    assert i0e(x).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 96])
@@ -152,3 +167,35 @@ def test_fig7_with_non_finite_average_exits_3(monkeypatch, capsys,
                  "--set", "pulse.waist_um=1e-153"]) == 3
     assert "non-finite value" in capsys.readouterr().err
     assert len(calls) == 2 and not out.exists()
+
+
+class TestMaximize:
+    @pytest.mark.parametrize("f, peak", [
+        (lambda x: -(x - 0.3)**2, 0.3),
+        (lambda x: math.sin(3.0 * x) * math.exp(-x), math.atan(3.0) / 3.0),
+        (lambda x: -math.cosh(4.0 * (x - 0.9)), 0.9)])
+    @pytest.mark.parametrize("start", [0.05, 0.5, 0.95])
+    def test_smooth_peak_to_the_tolerance(self, f, peak, start):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        found = maximize(counted, 0.0, 1.0, start, f(start), 1e-7)
+        assert abs(found - peak) <= 1e-7
+        # a golden-section search takes about 35 evaluations to 1e-7
+        assert start not in calls and len(calls) <= 20
+        assert all(0.0 < x < 1.0 for x in calls)
+
+    @pytest.mark.parametrize("edge", [0.7, 1.0])
+    def test_narrows_onto_a_jump(self, edge):
+        # f rises to the jump at edge, the bracket's end for edge = 1, and
+        # drops there: the largest value lies at the jump itself
+        def f(x):
+            return 1.0 + x if x < edge else 0.0
+
+        coarse = maximize(f, 0.0, 1.0, 0.5, f(0.5), 1e-7)
+        assert edge - 1e-7 <= coarse < edge
+        fine = maximize(f, 0.0, 1.0, 0.5, f(0.5), 1e-7, 1e-12, 1e-14)
+        assert edge - 4e-12 <= fine < edge

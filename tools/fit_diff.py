@@ -16,8 +16,14 @@ It prints the largest |change| of omega_F over PARENT's, the range of the
 chi2/dof ratio (CHANGE / PARENT) and how many fits got lower or higher,
 the largest relative change of omega_F's standard error, of sigma_alpha
 and of sigma_alpha's standard error, how many fits of each side report
-sigma_alpha = inf, every trace whose convergence changed, and every
-``check_fit`` failure of either side against perfbench's reference.  It
+sigma_alpha = inf, every trace whose convergence changed, how many coarse
+frequency scans (``fitting._coarse_scan``) returned other bits, the fits
+off the true frequency's basin (``checks.off_true_basin``), and every
+``check_fit`` failure of either side against perfbench's reference.  For
+each side it also prints the median over the traces of the in-process
+time of one ``fit_damped_sinusoid`` call, the fastest of three on the same
+trace, the draws excluded, and the mean number of residual evaluations
+(``least_squares``' nfev) per fit.  It
 exits 1 when CHANGE fails ``check_fit`` on a trace, and 0 otherwise.
 """
 
@@ -25,6 +31,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -34,19 +41,46 @@ from types import SimpleNamespace
 from bench_pairs import checkout, git
 
 # Run in each revision's interpreter: fit every trace, print one JSON object.
+# The wrappers record each fit's nfev and coarse-scan frequency, and time it
+# three times.
 FIT_ALL = """
-import json, sys
+import json, sys, time
 sys.path.insert(0, sys.argv[1])
-import fit_worker, workloads
+import becmemory, fit_worker, workloads
+from becmemory import fitting
+seen = {}
+
+def recorded(fn, key, value):
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        seen.setdefault(key, []).append(value(result))
+        return result
+    return wrapper
+
+def timed(*args, **kwargs):
+    walls = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = fit_damped_sinusoid(*args, **kwargs)
+        walls.append(time.perf_counter() - start)
+    seen["fit_s"] = min(walls)
+    return result
+
+fit_damped_sinusoid = becmemory.fit_damped_sinusoid
+becmemory.fit_damped_sinusoid = timed
+fitting.least_squares = recorded(fitting.least_squares, "nfev",
+                                 lambda r: r.nfev)
+fitting._coarse_scan = recorded(fitting._coarse_scan, "scan", float.hex)
 fits = {}
 for workload, count in workloads.FIT_SETS.items():
     for index in range(count):
+        seen.clear()
         fit, omega_true = fit_worker.fit_trace(
             workloads.fit_parameter_set(workload, index))
         fits[f"{workload}/{index}"] = {
             "params": fit.params, "std_errors": fit.std_errors,
             "chi2_per_dof": fit.chi2_per_dof, "converged": fit.converged,
-            "message": fit.message, "omega_true": omega_true}
+            "message": fit.message, "omega_true": omega_true, **seen}
 print(json.dumps(fits))
 """
 
@@ -69,14 +103,15 @@ def relative_change(old, new):
         else abs(new / old - 1.0)
 
 
-def compare(fits, check_fit, refs):
-    """Report lines and the number of ``check_fit`` failures of CHANGE."""
+def compare(fits, checks, refs):
+    """Report lines and the number of ``checks.check_fit`` failures of
+    CHANGE."""
     parent, change = fits["parent"], fits["change"]
     failures = {side: [] for side in fits}
     for side, side_fits in fits.items():
         for key, fit in side_fits.items():
-            for problem in check_fit(SimpleNamespace(**fit),
-                                     fit["omega_true"], refs[key]):
+            for problem in checks.check_fit(SimpleNamespace(**fit),
+                                            fit["omega_true"], refs[key]):
                 failures[side].append(f"{key}: {problem}")
     keys = sorted(parent)
     both = [k for k in keys if parent[k]["converged"]
@@ -95,6 +130,10 @@ def compare(fits, check_fit, refs):
     converged = [f"{k}: parent {parent[k]['converged']}, change "
                  f"{change[k]['converged']}" for k in keys
                  if parent[k]["converged"] != change[k]["converged"]]
+    scans = [k for k in keys if parent[k]["scan"] != change[k]["scan"]]
+    off = {side: {k for k in both if checks.off_true_basin(
+        SimpleNamespace(**side_fits[k]), side_fits[k]["omega_true"])}
+        for side, side_fits in fits.items()}
     lines = [
         f"{len(both)} of {len(keys)} traces converged on both sides",
         f"largest |omega_F change| / omega_F: "
@@ -113,7 +152,17 @@ def compare(fits, check_fit, refs):
         f"fits reporting sigma_alpha = inf: parent {unenveloped['parent']}, "
         f"change {unenveloped['change']}",
         f"changed convergence: {len(converged)}",
-        *(f"  {line}" for line in converged)]
+        *(f"  {line}" for line in converged),
+        f"coarse scans with other bits: {len(scans)}",
+        *(f"  {k}" for k in scans),
+        f"fits off the true basin: parent {len(off['parent'])}, change "
+        f"{len(off['change'])}; changed basin: "
+        f"{sorted(off['parent'] ^ off['change'])}"]
+    for side, side_fits in fits.items():
+        fit_ms = statistics.median(f["fit_s"] for f in side_fits.values())
+        nfev = statistics.mean(f["nfev"][0] for f in side_fits.values())
+        lines.append(f"{side}: median fit time {fit_ms * 1e3:.3f} ms, "
+                     f"mean nfev per fit {nfev:.2f}")
     for side in fits:
         lines.append(f"check_fit failures, {side}: {len(failures[side])}")
         lines += [f"  {line}" for line in failures[side]]
@@ -137,10 +186,10 @@ def main(argv=None):
         fits = {side: fit_all(tree, perfbench)
                 for side, tree in trees.items()}
         sys.path.insert(0, str(perfbench))
-        from checks import check_fit
+        import checks
         refs = json.loads((perfbench / "reference.json").read_text())["fits"]
 
-    lines, failed = compare(fits, check_fit, refs)
+    lines, failed = compare(fits, checks, refs)
     print(f"fit_diff: parent {revs['parent'][:10]} vs change "
           f"{revs['change'][:10]}")
     print("\n".join(lines))
