@@ -5,9 +5,9 @@ Keys are namespaced and carry their unit in the name (MHz for ordinary
 frequencies, ns/us/ms for times, G/mG for fields, um for lengths); all
 quantities are converted to SI/angular units when the typed RunConfig is
 built.  Defaults reproduce the reference experiment.  SCHEMA declares every
-key once, with its default and allowed range; a value from a file, --set,
---preset, --seed or a typed mapping is parsed and checked there, so the
-commands read typed, in-range values.
+key once, with its default and allowed range; each value from a file,
+--set, --preset, --seed or a typed mapping is parsed and checked there
+once, in order, so the commands read typed, in-range values.
 """
 
 import math
@@ -145,9 +145,9 @@ def parse_value(key: str, value):
     return typed
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Read ``key = value`` lines; full-line comments start with '#'."""
-    entries: dict[str, str] = {}
+def parse_config_text(text: str) -> list[tuple[str, str]]:
+    """(key, value) of each ``key = value`` line in order; '#' comments."""
+    entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -156,20 +156,8 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: expected 'key = value', "
                               f"got {line!r}")
         key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        entries.append((key.strip(), value.strip()))
     return entries
-
-
-def build_mapping(file_entries: dict[str, str] | None = None,
-                  overrides: list[str] | None = None) -> dict:
-    """Typed values of config-file entries, then KEY=VALUE overrides."""
-    items = list((file_entries or {}).items())
-    for item in overrides or []:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        items.append((key.strip(), value))
-    return {key: parse_value(key, value) for key, value in items}
 
 
 MHZ = 2.0 * math.pi * 1e6      # ordinary MHz -> angular rad/s
@@ -197,12 +185,14 @@ class RunConfig:
             * self.raw["attenuation.cavity"]
 
     @classmethod
-    def from_mapping(cls, mapping: dict) -> "RunConfig":
-        """Check ``mapping`` (text or typed values) against SCHEMA and
-        build the typed view; missing keys take their defaults."""
+    def from_mapping(cls, mapping) -> "RunConfig":
+        """Check each value of ``mapping``, a dict or (key, value) pairs,
+        once and in order against SCHEMA, a later value replacing an earlier
+        one, and build the typed view; missing keys take their defaults."""
         raw = {key: default for key, (default, _) in SCHEMA.items()}
-        raw.update((key, parse_value(key, value))
-                   for key, value in mapping.items())
+        items = mapping.items() if isinstance(mapping, dict) else mapping
+        for key, value in items:
+            raw[key] = parse_value(key, value)
         preset = raw["noise.preset"]
         sigma_mg = raw["noise.sigma_b_mg"]
         if preset != "custom" and sigma_mg >= 0:
@@ -256,9 +246,9 @@ class RunConfig:
 def load_config(path: str | None = None, overrides: list[str] | None = None,
                 preset: str | None = None,
                 seed: int | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus command-line overrides;
-    ``preset`` and ``seed`` are overrides of noise.preset and seed."""
-    entries = None
+    """Build a RunConfig from an optional file's entries, then the KEY=VALUE
+    overrides, then ``preset`` (noise.preset) and ``seed``, in that order."""
+    entries = []
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -266,12 +256,16 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") \
                 from exc
-    overrides = list(overrides or [])
+    for item in overrides or []:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+        entries.append((key.strip(), value))
     if preset is not None:
-        overrides.append(f"noise.preset={preset}")
+        entries.append(("noise.preset", preset))
     if seed is not None:
-        overrides.append(f"seed={seed}")
-    return RunConfig.from_mapping(build_mapping(entries, overrides))
+        entries.append(("seed", seed))
+    return RunConfig.from_mapping(entries)
 
 
 def parse_float_list(text: str) -> list[float]:

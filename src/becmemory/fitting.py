@@ -370,18 +370,23 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
         return FitResult({}, {}, math.nan, False,
                          "non-identifiable: data have no variation")
     init = init or {}
-    kappa0 = 0.0 if undamped else 0.5 / float(init.get(
-        "sigma_alpha", _second_moment_width(data.x, data.y)))**2
+
+    def start(key, guess):      # guess() runs only if init lacks key
+        return float(init[key] if key in init else guess())
+
+    kappa0 = 0.0 if undamped else 0.5 / start(
+        "sigma_alpha", lambda: _second_moment_width(data.x, data.y))**2
     x2 = data.x**2      # of the only x that _finish passes the model
     envelope = np.exp(-kappa0 * x2)
-    omega0 = float(init.get("omega_f",
-                            _dominant_frequency(data.x, data.y, envelope)))
-    # Phase and amplitude from a linear solve in (cos, sin) components.
-    basis = np.column_stack([envelope * np.cos(omega0 * data.x),
-                             envelope * np.sin(omega0 * data.x)])
-    (a, b), *_ = np.linalg.lstsq(basis, data.y, rcond=None)
-    amp0 = float(init.get("amplitude", max(math.hypot(a, b), 1e-12)))
-    phi00 = float(init.get("phi0", math.atan2(b, a)))
+    omega0 = start("omega_f",
+                   lambda: _dominant_frequency(data.x, data.y, envelope))
+    if "amplitude" not in init or "phi0" not in init:
+        # Phase and amplitude from a linear solve in (cos, sin) components.
+        basis = np.column_stack([envelope * np.cos(omega0 * data.x),
+                                 envelope * np.sin(omega0 * data.x)])
+        (a, b), *_ = np.linalg.lstsq(basis, data.y, rcond=None)
+    amp0 = start("amplitude", lambda: max(math.hypot(a, b), 1e-12))
+    phi00 = start("phi0", lambda: math.atan2(b, a))
 
     def model(p, x):
         # an undamped fit leaves kappa out of p, pinned at 0

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from becmemory import cli
 from becmemory.cli import main
-from becmemory.config import (SCHEMA, ConfigError, RunConfig,
-                              build_mapping, load_config, parse_config_text,
-                              parse_float_list, parse_value)
+from becmemory.config import (SCHEMA, ConfigError, RunConfig, load_config,
+                              parse_config_text, parse_float_list,
+                              parse_value)
 from becmemory.tomography import StructureWarning
 from conftest import column, read_table
 
@@ -36,17 +36,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("medium.atom_number 2e6")
 
+    def test_file_entries_keep_their_order(self):
+        text = "fig4.n_points = abc\n# note\nseed = 7\nfig4.n_points = 5\n"
+        assert parse_config_text(text) == [("fig4.n_points", "abc"),
+                                           ("seed", "7"),
+                                           ("fig4.n_points", "5")]
+
     def test_unknown_key(self):
-        with pytest.raises(ConfigError):
-            build_mapping({"medium.atom_count": "1"})
+        with pytest.raises(ConfigError, match="unknown config key"):
+            RunConfig.from_mapping({"medium.atom_count": "1"})
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(overrides=["medium.atom_count=1"])
 
     def test_override_coercion(self):
-        mapping = build_mapping(None, ["fig4.n_points=11",
-                                       "attenuation.enabled=true",
-                                       "control.omega_c_mhz=15"])
-        assert mapping["fig4.n_points"] == 11
-        assert mapping["attenuation.enabled"] is True
-        assert mapping["control.omega_c_mhz"] == 15.0
+        cfg = load_config(overrides=["fig4.n_points=11",
+                                     "attenuation.enabled=true",
+                                     "control.omega_c_mhz=15"])
+        assert cfg.raw["fig4.n_points"] == 11
+        assert cfg.raw["attenuation.enabled"] is True
+        assert cfg.raw["control.omega_c_mhz"] == 15.0
 
     def test_schema_defaults_are_in_range(self):
         for key, (default, _) in SCHEMA.items():
@@ -54,11 +62,42 @@ class TestConfigParsing:
 
     def test_bad_values(self):
         with pytest.raises(ConfigError):
-            build_mapping(None, ["fig4.n_points=eleven"])
+            load_config(overrides=["fig4.n_points=eleven"])
         with pytest.raises(ConfigError):
-            build_mapping(None, ["attenuation.enabled=maybe"])
-        with pytest.raises(ConfigError):
-            build_mapping(None, ["not-an-assignment"])
+            load_config(overrides=["attenuation.enabled=maybe"])
+        with pytest.raises(ConfigError, match="--set expects KEY=VALUE"):
+            load_config(overrides=["not-an-assignment"])
+
+    def test_every_value_is_checked_before_a_later_one_replaces_it(
+            self, tmp_path):
+        bad = "expected an integer for 'fig4.n_points', got 'abc'"
+        with pytest.raises(ConfigError, match=re.escape(bad)):
+            RunConfig.from_mapping([("fig4.n_points", "abc"),
+                                    ("fig4.n_points", "5")])
+        path = tmp_path / "run.cfg"
+        path.write_text("fig4.n_points = abc\nfig4.n_points = 5\n")
+        with pytest.raises(ConfigError, match=re.escape(bad)):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=re.escape(bad)):
+            load_config(overrides=["fig4.n_points=abc", "fig4.n_points=5"])
+        with pytest.raises(ConfigError, match="seed must be >= 0, got '-1'"):
+            load_config(overrides=["seed=-1"], seed=3)
+
+    def test_a_later_value_replaces_an_earlier_one(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("fig4.n_points = 5\nseed = 1\nfig4.n_points = 7\n"
+                        "noise.preset = feed-forward\n")
+        cfg = load_config(str(path))
+        assert cfg.raw["fig4.n_points"] == 7
+        assert cfg.raw["seed"] == 1
+        cfg = load_config(str(path), ["fig4.n_points=9", "seed=2",
+                                      "noise.preset=unsynchronized"],
+                          preset="line-synced", seed=3)
+        assert cfg.raw["fig4.n_points"] == 9
+        assert cfg.raw["noise.preset"] == "line-synced"
+        assert cfg.raw["seed"] == 3
+        # a replaced key keeps its place in the metadata echo
+        assert list(cfg.raw) == list(SCHEMA)
 
 
 class TestRunConfig:
@@ -200,6 +239,17 @@ class TestCommandLine:
         assert main(["fig7", "--set", "medium.radius_x_um=1e-300"]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "rescale" in lines[0], lines
+
+    def test_bad_value_overridden_in_config_file_exit_code(self, capsys,
+                                                          tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("fig4.n_points = abc\nfig4.n_points = 5\n")
+        out = tmp_path / "fig4.csv"
+        assert main(["fig4", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "becmem: config error: expected an integer for 'fig4.n_points', "
+            "got 'abc'\n")
+        assert not out.exists()
 
     def test_missing_config_file(self):
         assert main(["fig3", "--config", "/nonexistent/run.cfg"]) == 2

@@ -26,8 +26,12 @@ none (from 0.5 up its alpha(t) data resolve no decay and it exits 3).  The
 parameter sets, ``perfbench/checks.py`` and ``perfbench/reference.json``
 are read from PARENT's clone and never written.
 
-It prints how many CSVs are byte-identical; the runs whose stderr differs
-byte for byte; for each column that changed, per command variant, the
+Each side runs from its own working directory with the same relative
+``--out`` path, so the two sides' stdout (``optimize``'s report and the
+``wrote`` line) can be compared byte for byte.
+
+It prints how many CSVs are byte-identical; the runs whose stdout or
+stderr differs byte for byte; for each column that changed, per command variant, the
 largest |change| over the column's scale (the largest |value| PARENT
 wrote in it) and how many cells changed; every metadata line that
 changed; and every ``check_table`` failure of either side against
@@ -86,11 +90,11 @@ def inputs(workloads):
 
 
 def run_cli(tree, argv, cwd):
-    """Exit code and stderr of one CLI run."""
+    """Exit code, stdout and stderr of one CLI run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, "-m", "becmemory.cli", *argv],
                           cwd=cwd, env=env, capture_output=True)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def split(text):
@@ -154,28 +158,33 @@ def main(argv=None):
 
         runs = inputs(workloads)
         texts = {}
+        outs = {}
         errs = {}
         failures = []
         for label, _, params, default_argv in runs:
+            out = label.replace("/", "_") + ".csv"    # relative to cwd
+            cli_argv = workloads.cli_args(params, out) if params \
+                else [*default_argv, "--out", out]
             for side, tree in trees.items():
-                out = tmp / "out" / side / (label.replace("/", "_") + ".csv")
-                out.parent.mkdir(parents=True, exist_ok=True)
-                cli_argv = workloads.cli_args(params, str(out)) if params \
-                    else [*default_argv, "--out", str(out)]
-                code, errs[side, label] = run_cli(tree, cli_argv, tmp)
+                cwd = tmp / "out" / side
+                cwd.mkdir(parents=True, exist_ok=True)
+                code, outs[side, label], errs[side, label] = run_cli(
+                    tree, cli_argv, cwd)
                 if code != 0:
                     last = errs[side, label].decode(errors="replace")
                     last = (last.strip().splitlines() or [""])[-1]
                     failures.append(f"{side} {label}: exit {code}: {last}")
                 else:
-                    texts[side, label] = out.read_text(encoding="utf-8")
+                    texts[side, label] = (cwd / out).read_text(
+                        encoding="utf-8")
 
     identical = 0
     columns = {}         # (variant, column) -> [worst, cells changed, cells]
     meta_lines = []
     layout = []
-    stderr = [label for label, *_ in runs
-              if errs["parent", label] != errs["change", label]]
+    stdout, stderr = ([label for label, *_ in runs
+                       if std["parent", label] != std["change", label]]
+                      for std in (outs, errs))
     checked = {"parent": [], "change": []}
     for label, variant, params, _ in runs:
         if ("parent", label) not in texts or ("change", label) not in texts:
@@ -215,7 +224,8 @@ def main(argv=None):
         print(f"  {variant:18s} {name:24s} {size:>10s}  {changed}/{cells}")
     if not columns:
         print("  none")
-    for title, lines in (("runs whose stderr differs", stderr),
+    for title, lines in (("runs whose stdout differs", stdout),
+                         ("runs whose stderr differs", stderr),
                          ("changed metadata lines", meta_lines),
                          ("changed table layouts", layout),
                          ("failed runs", failures),
