@@ -185,7 +185,7 @@ class RunConfig:
             * self.raw["attenuation.cavity"]
 
     @classmethod
-    def from_mapping(cls, mapping) -> "RunConfig":
+    def from_mapping(cls, mapping: dict | list) -> "RunConfig":
         """Check each value of ``mapping``, a dict or (key, value) pairs,
         once and in order against SCHEMA, a later value replacing an earlier
         one, and build the typed view; missing keys take their defaults."""

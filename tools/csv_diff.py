@@ -31,12 +31,12 @@ Each side runs from its own working directory with the same relative
 ``wrote`` line) can be compared byte for byte.
 
 It prints how many CSVs are byte-identical; the runs whose stdout or
-stderr differs byte for byte; for each column that changed, per command variant, the
-largest |change| over the column's scale (the largest |value| PARENT
-wrote in it) and how many cells changed; every metadata line that
-changed; and every ``check_table`` failure of either side against
-perfbench's reference.  It exits 1 when a run fails or
-CHANGE fails ``check_table``, and 0 otherwise.
+stderr differs byte for byte; for each column that changed, per command
+variant, the largest |change| over the column's scale (the largest
+|value| PARENT wrote in it) and how many cells changed; every metadata
+line that changed; and every ``check_table`` failure of either side
+against perfbench's reference. It exits 1 when a run fails or CHANGE
+fails ``check_table``, and 0 otherwise.
 """
 
 import argparse
