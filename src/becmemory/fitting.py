@@ -4,9 +4,9 @@ Three fit shapes cover the measured quantities: a Gaussian-damped sinusoid
 for Faraday-rotation traces, a Gaussian decay for damping and efficiency
 lifetimes, and a two-parameter rescaling of a tabulated reference curve for
 comparing measured efficiencies against the model prediction.  Every fit
-runs one numpy Levenberg-Marquardt loop, ``least_squares``, so none loads
-``scipy.optimize``; standard errors come from the scaled inverse
-Gauss-Newton normal matrix at the optimum.
+runs one numpy Levenberg-Marquardt loop, ``least_squares``, and the
+reference curve is ``numerics.pchip``, so none loads scipy; standard errors
+come from the scaled inverse Gauss-Newton normal matrix at the optimum.
 
 The sinusoid and the scaled model give the loop their analytic Jacobians.
 The Gaussian decay (fig4) gives it none and gets scipy's 2-point one:
@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .numerics import maximize
+from .numerics import maximize, pchip
 
 
 # Tolerance of the solver on the step, the decrease and the gradient.
@@ -49,7 +49,7 @@ def least_squares(fun, x0, jac=None, max_nfev=2000):
     linear model predicted; after each step that does not, it grows by a
     factor that doubles each time, 2, 4, 8, ...
     J^T J and J^T r are summed with ``einsum``, in the calling thread, as
-    ``_explained`` explains.
+    ``_explained_by`` explains.
 
     The result has ``x``, ``fun``, ``jac``, ``nfev`` and ``status``, which
     follows scipy's: 1 when every column's cosine with the residual, its
@@ -201,8 +201,9 @@ ZOOM_FTOL = 1e-12
 ZOOM_XMIN = 1e-14
 
 
-def _explained(freqs, x, ye, e2):
-    """Variance of ``ye`` explained by a sinusoid at each trial frequency.
+def _explained_by(x, ye, e2):
+    """Variance of ``ye`` explained by a sinusoid at each trial frequency,
+    as a function of the frequencies, which centres x and sums e2 once.
 
     The amplitude and phase are profiled out under the squared envelope
     ``e2``.  Each frequency's cos and sin columns are first rotated by the
@@ -216,12 +217,6 @@ def _explained(freqs, x, ye, e2):
     is at most ``GRAM_RTOL`` of sum e2 the columns are parallel, and only
     the projection onto the cosine axis is kept.
     """
-    return _explained_by(x, ye, e2)(freqs)
-
-
-def _explained_by(x, ye, e2):
-    """``_explained`` of (x, ye, e2) as a function of the frequencies alone,
-    which centres x and sums e2 once."""
     # The value is unchanged by a shift of x; centring it keeps the
     # phases, and their rounding errors, small.
     x = x - 0.5 * (x.min() + x.max())
@@ -461,25 +456,24 @@ SCALE_GRID = 65
 def fit_scaled_model(data: DataSeries, reference: DataSeries) -> FitResult:
     """Fit y = s_eta * curve(s_omega * x) against a tabulated reference.
 
-    The reference curve is interpolated with a monotone cubic, NaN off the
-    table.  s_omega stays in the bracket [s_lo, s_hi] that keeps every
+    The reference curve is the monotone cubic ``numerics.pchip``, NaN off
+    the table.  s_omega stays in the bracket [s_lo, s_hi] that keeps every
     rescaled data point on the table: an end whose product with the data
-    rounds past the table moves inward by an ulp, and an impossible
-    coverage raises with the offending points.  The fit starts from the
-    best of ``SCALE_GRID`` nodes over the bracket, with s_eta profiled out
-    in closed form at each (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
-    1973), and gives the solver the curve's derivative; as the solver
-    accepts no step to a NaN sum of squares, it never leaves the bracket.
+    rounds past the table moves inward by an ulp, and an impossible coverage
+    raises with the offending points.  The fit starts from the best of
+    ``SCALE_GRID`` nodes over the bracket, with s_eta profiled out in closed
+    form at each (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973), and
+    gives the solver the curve's derivative; as the solver accepts no step
+    to a NaN sum of squares, it never leaves the bracket.  Zero data, or a
+    reference 0 at the data on every node, are non-identifiable.
     """
-    from scipy.interpolate import PchipInterpolator
     if data.n < 2:
         raise ValueError("need at least 2 points")
     if np.any(data.x <= 0) or np.any(reference.x <= 0):
         raise ValueError("scaled-model fit expects positive abscissas")
     order = np.argsort(reference.x)
     ref_x = reference.x[order]
-    curve = PchipInterpolator(ref_x, reference.y[order], extrapolate=False)
-    slope = curve.derivative()
+    curve = pchip(ref_x, reference.y[order])
 
     x_min, x_max = float(data.x.min()), float(data.x.max())
     s_lo, s_hi = float(ref_x[0] / x_min), float(ref_x[-1] / x_max)
@@ -494,19 +488,23 @@ def fit_scaled_model(data: DataSeries, reference: DataSeries) -> FitResult:
 
     weights = 1.0 / data.sigma_y if data.sigma_y is not None else 1.0
     grid = np.linspace(s_lo, s_hi, SCALE_GRID)
-    columns = curve(grid[:, None] * data.x) * weights
+    columns = curve(grid[:, None] * data.x)[0] * weights
     cy = np.einsum("gn,n->g", columns, data.y * weights)
     cc = np.einsum("gn,gn->g", columns, columns)
-    best = int(np.nanargmax(cy**2 / cc))
+    if not (np.any(data.y) and np.any(cc)):
+        return FitResult({}, {}, math.nan, False, "non-identifiable: zero "
+                         "data or reference leave s_omega free")
+    best = int(np.argmax(np.divide(cy**2, cc, out=np.full(cc.size, -1.0),
+                                   where=cc > 0)))
 
     def model(p, x):
         s_eta, s_omega = p
-        return s_eta * curve(s_omega * x)
+        return s_eta * curve(s_omega * x)[0]
 
     def jacobian(p, x):
         s_eta, s_omega = p
-        return np.column_stack([curve(s_omega * x),
-                                s_eta * slope(s_omega * x) * x])
+        value, slope = curve(s_omega * x)
+        return np.column_stack([value, s_eta * slope * x])
 
     return _finish(("s_eta", "s_omega"), data, model,
                    [cy[best] / cc[best], grid[best]], jacobian)

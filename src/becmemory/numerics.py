@@ -1,10 +1,11 @@
-"""numpy kernels: erf, i0e, adaptive quadrature and a bracketed maximizer.
+"""numpy kernels: erf, i0e, quadrature, a bracketed maximizer and pchip.
 
 ``erf`` and ``i0e`` evaluate the Cephes approximations (Moshier) that
 scipy.special evaluates too.  ``quad`` is the vector-valued adaptive
 Gauss-Kronrod 21 rule of scipy's ``quad_vec`` (QUADPACK; Piessens et al.
 1983), calling the integrand once per round for all new intervals.
-``maximize`` is Brent's method on a bracket, for the fits.
+``maximize`` is Brent's method on a bracket, for the fits, and ``pchip``
+scipy's monotone cubic interpolant, for the scaled-model fit.
 """
 
 import math
@@ -233,3 +234,39 @@ def maximize(f, lo, hi, x, fx, xtol, ftol=math.inf, xmin=0.0):
             elif fu >= fv or v in (x, w):
                 v, fv = u, fu
     return x
+
+
+def pchip(x, y):
+    """Monotone cubic through (x, y), x strictly increasing, a line for two
+    nodes: a function of t giving (value, derivative), NaN off [x[0], x[-1]].
+
+    The slopes are scipy's ``PchipInterpolator``'s (Fritsch & Carlson, SIAM
+    J. Numer. Anal. 17, 238, 1980): the weighted harmonic mean of the two
+    neighbouring secants, 0 at a sign change or a 0 secant, and at the ends
+    the one-sided three-point estimate within scipy's sign and 3x limits.
+    """
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0):
+        raise ValueError("pchip needs 2 or more strictly increasing x")
+    h, m = np.diff(x), np.diff(y) / np.diff(x)
+    d = np.full(x.size, m[0] if x.size == 2 else 0.0)
+    if x.size > 2:      # the mean only where the secants share a sign
+        same = np.sign(m[:-1]) * np.sign(m[1:]) > 0
+        w1, w2 = (2.0 * h[1:] + h[:-1])[same], (h[1:] + 2.0 * h[:-1])[same]
+        d[1:-1][same] = (w1 + w2) / (w1 / m[:-1][same] + w2 / m[1:][same])
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        end = np.where(np.sign(end) == np.sign(m0), end, 0.0)
+        big = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(big, 3.0 * m0, end)
+    c3 = (d[:-1] + d[1:] - 2.0 * m) / h     # y + s (d + s (c2 + s c3))
+    c2, c3 = (m - d[:-1]) / h - c3, c3 / h
+
+    def curve(t):
+        k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+        on = (t >= x[0]) & (t <= x[-1])
+        s = np.where(on, t - x[k], 0.0)     # no overflow off the table
+        value = y[k] + s * (d[k] + s * (c2[k] + s * c3[k]))
+        slope = d[k] + s * (2.0 * c2[k] + 3.0 * s * c3[k])
+        return np.where(on, value, np.nan), np.where(on, slope, np.nan)
+    return curve

@@ -243,7 +243,7 @@ def scan_against_direct_scan(x, y, env):
     best = {"scan": fitting._dominant_frequency(x, y, env) / TWO_PI,
             "direct": fitting._zoom(x, ye, env**2, *direct_scan(
                 x, ye, span, np.diff(np.unique(x)).min()))}
-    explained = {name: fitting._explained(np.array([f]), x, ye, env**2)[0]
+    explained = {name: fitting._explained_by(x, ye, env**2)(np.array([f]))[0]
                  for name, f in best.items()}
     return best, explained
 
@@ -338,8 +338,8 @@ def zoom_against_window(x, y, env):
     found = fitting._zoom(x, ye, env**2, best, step)
     window = np.linspace(max(best - 2.0 * step, 0.0), best + 2.0 * step,
                          20001)
-    return (fitting._explained(np.array([found]), x, ye, env**2)[0],
-            fitting._explained(window, x, ye, env**2).max())
+    explained = fitting._explained_by(x, ye, env**2)
+    return explained(np.array([found]))[0], explained(window).max()
 
 
 class TestFrequencyScan:
@@ -352,8 +352,8 @@ class TestFrequencyScan:
         found = fitting._dominant_frequency(x, y, envelope)
         assert abs(found - pinned) <= 1e-8 * pinned
         ye = (y - y.mean()) * envelope
-        explained = fitting._explained(np.array([found, pinned]) / TWO_PI,
-                                       x, ye, envelope**2)
+        explained = fitting._explained_by(x, ye, envelope**2)(
+            np.array([found, pinned]) / TWO_PI)
         assert explained[0] >= explained[1] * (1.0 - 1e-12)
 
     def test_fig3_scan_takes_a_lattice_length_fft(self):
@@ -400,7 +400,7 @@ class TestFrequencyScan:
         env = np.exp(-((x - x[0]) / np.ptp(x) - 0.3)**2)
         ye = env * rng.normal(size=n)
         cos = (-1.0) ** np.rint(x / delta)
-        value = fitting._explained(np.array([0.5 / delta]), x, ye, env**2)
+        value = fitting._explained_by(x, ye, env**2)(np.array([0.5 / delta]))
         assert value[0] == pytest.approx((ye @ cos)**2 / (env**2 @ cos**2),
                                          rel=1e-12)
 
@@ -416,7 +416,7 @@ class TestFrequencyScan:
         span = np.ptp(x)
         assert x.size == 13 and fitting._coarse_scan(x, ye, span) == 2.0
         found = fitting._zoom(x, ye, env**2, 2.0, 0.25 / span)
-        value = fitting._explained(np.array([found]), x, ye, env**2)[0]
+        value = fitting._explained_by(x, ye, env**2)(np.array([found]))[0]
         assert value == pytest.approx(3.4979161475, rel=1e-9)
 
     def test_zoom_on_fig3_takes_few_evaluations(self, monkeypatch):
@@ -727,6 +727,12 @@ class TestGaussianDecay:
         assert fit.std_errors["sigma"] >= 0.5 * fit.params["sigma"]
 
 
+def assert_non_identifiable(fit):
+    assert not fit.converged and math.isnan(fit.chi2_per_dof)
+    assert fit.params == {} and fit.std_errors == {}
+    assert fit.message.startswith("non-identifiable: ")
+
+
 class TestScaledModel:
     def reference(self):
         x = np.linspace(5.0, 60.0, 120)
@@ -793,6 +799,30 @@ class TestScaledModel:
         data = DataSeries([0.1, 900.0], [0.1, 0.1])
         with pytest.raises(ValueError, match="x ="):
             fit_scaled_model(data, ref)
+
+    # Zero data leave s_omega free, and so does a reference that is 0
+    # wherever the rescaled data can fall: both report as constant data do
+    # in the other fits, with no warning on the way.
+    @pytest.mark.filterwarnings("error")
+    def test_zero_data_are_non_identifiable(self):
+        data = DataSeries(np.linspace(6.0, 28.0, 10), np.zeros(10))
+        assert_non_identifiable(fit_scaled_model(data, self.reference()))
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_reference_is_non_identifiable(self):
+        ref = DataSeries(np.linspace(1.0, 10.0, 20), np.zeros(20))
+        data = DataSeries([2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+        assert_non_identifiable(fit_scaled_model(data, ref))
+
+    @pytest.mark.filterwarnings("error")
+    def test_reference_zero_on_part_of_the_bracket(self):
+        # the start grid's nodes where the rescaled reference is 0 at every
+        # data point rank last instead of dividing 0 by 0
+        ref = DataSeries(np.linspace(1.0, 10.0, 20),
+                         np.r_[np.zeros(10), np.linspace(0.0, 1.0, 10)])
+        fit = fit_scaled_model(DataSeries([2.0, 3.0, 4.0], [1.0, 2.0, 3.0]),
+                               ref)
+        assert fit.converged and fit.params["s_eta"] > 0
 
     def test_reorder_invariance(self, rng):
         from scipy.interpolate import PchipInterpolator

@@ -1,11 +1,11 @@
-"""Importing becmemory, running any command or fitting a sinusoid or a
-Gaussian decay loads no scipy, and only the commands that draw random
-numbers load ``numpy.random``.
+"""Importing becmemory, running any command or making a fit of any of the
+three shapes loads no scipy, and only the commands that draw random numbers
+load ``numpy.random``.
 
 scipy's subpackages cost most of a short command's start-up, so the
-efficiency layer (fig7 and optimize) and every fit's solver use numpy
-kernels instead; only the scaled-model fit imports scipy, for its
-interpolant, inside the kernel.  ``numpy.random`` pulls in ``secrets``,
+efficiency layer (fig7 and optimize), every fit's solver and the
+scaled-model fit's interpolant use numpy kernels instead; scipy is only
+the tests' oracle.  ``numpy.random`` pulls in ``secrets``,
 ``hmac`` and ``_hashlib``, which loads OpenSSL, so the modules that name
 its types in annotations leave them unevaluated: fig5–fig8 and both
 optimize variants never load it, while fig3, fig4 and tomography load it
@@ -97,28 +97,43 @@ def test_bare_import_loads_no_random_or_scipy(module, tmp_path):
     assert loaded_modules(f"import {module}", tmp_path) == set()
 
 
-def test_sinusoid_fit_loads_no_scipy(tmp_path):
+# one fit of each shape, which must converge
+FITS = {
     # a noisy damped sinusoid on fig3's four-window lattice of 0.25 us
-    code = """
-import numpy as np
-from becmemory import DataSeries, fit_damped_sinusoid
+    "sinusoid": """
+from becmemory import fit_damped_sinusoid
 x = np.concatenate([np.arange(s, s + 25.125, 0.25)
                     for s in (0.0, 495.0, 980.0, 2380.0)]) * 1e-6
-noise = 0.05 * np.random.default_rng(5).normal(size=x.size)
-y = np.exp(-x**2 / 2e-6) * np.cos(1.26e6 * x - 0.3) + noise
-assert fit_damped_sinusoid(DataSeries(x, y)).converged
-"""
-    assert scipy_modules(code, tmp_path) == set()
-
-
-def test_gaussian_decay_fit_loads_no_scipy(tmp_path):
+y = np.exp(-x**2 / 2e-6) * np.cos(1.26e6 * x - 0.3) + 0.05 * noise(x)
+fit = fit_damped_sinusoid(DataSeries(x, y))
+""",
     # fig4's fit of a noisy alpha(t) over 2.2 sigma
-    code = """
-import numpy as np
-from becmemory import DataSeries, fit_gaussian_decay
+    "gaussian_decay": """
+from becmemory import fit_gaussian_decay
 x = np.linspace(0.0, 2.2 * 5.7e-5, 25)
-noise = 0.01 * np.random.default_rng(5).normal(size=x.size)
-y = np.exp(-x**2 / (2 * 5.7e-5**2)) + noise
-assert fit_gaussian_decay(DataSeries(x, y)).converged
-"""
+y = np.exp(-x**2 / (2 * 5.7e-5**2)) + 0.01 * noise(x)
+fit = fit_gaussian_decay(DataSeries(x, y))
+""",
+    # a noisy efficiency curve against a model curve in the control Rabi
+    # frequency (MHz), rescaled in eta and Omega_c
+    "scaled_model": """
+from becmemory import fit_scaled_model
+def model(x):
+    return 0.6 * np.exp(-((x - 15.0) / 9.0)**2) + 0.02
+ref_x = np.linspace(5.0, 60.0, 120)
+ref = DataSeries(ref_x, model(ref_x))
+x = np.linspace(8.0, 45.0, 25)
+y = 0.5 * model(0.75 * x) + 0.005 * noise(x)
+fit = fit_scaled_model(DataSeries(x, y), ref)
+""",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FITS))
+def test_fit_loads_no_scipy(shape, tmp_path):
+    code = ("import numpy as np\n"
+            "from becmemory import DataSeries\n"
+            "def noise(x):\n"
+            "    return np.random.default_rng(5).normal(size=x.size)\n"
+            + FITS[shape] + "assert fit.converged\n")
     assert scipy_modules(code, tmp_path) == set()

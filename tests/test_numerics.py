@@ -1,14 +1,16 @@
-"""numpy erf, i0e and quad against scipy, which is only a test oracle here,
-gauss_legendre against numpy's eigenvalue-based leggauss, and the bracketed
-maximizer on a smooth peak and on a jump."""
+"""numpy erf, i0e, quad and pchip against scipy, which is only a test oracle
+here, gauss_legendre against numpy's eigenvalue-based leggauss, and the
+bracketed maximizer on a smooth peak and on a jump."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad_vec
+from scipy.interpolate import PchipInterpolator
 from scipy.special import erf as scipy_erf
 from scipy.special import i0e as scipy_i0e
 
@@ -17,7 +19,8 @@ from becmemory.cli import main
 from becmemory.efficiency import (PulseParams, _eta_on_depth, _radial_line,
                                   _radial_weight, transverse_average_eta)
 from becmemory.eit import MediumParams
-from becmemory.numerics import erf, gauss_legendre, i0e, maximize, quad
+from becmemory.numerics import (erf, gauss_legendre, i0e, maximize, pchip,
+                                quad)
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 6.0, -6.0, 8.0, -8.0, 1e-300, -1e-300,
            math.inf, -math.inf, math.nan]
@@ -199,3 +202,69 @@ class TestMaximize:
         assert edge - 1e-7 <= coarse < edge
         fine = maximize(f, 0.0, 1.0, 0.5, f(0.5), 1e-7, 1e-12, 1e-14)
         assert edge - 4e-12 <= fine < edge
+
+
+@st.composite
+def pchip_tables(draw):
+    """(x, y, t): 2 to 40 nodes at uneven gaps, and points t on the nodes,
+    between them, just off the table's ends and at nan and +-inf.  Half the
+    tables take y from four levels, so values repeat and segments are flat;
+    the others climb, fall or stay flat in runs of up to 8 steps."""
+    n = draw(st.integers(2, 40))
+    gaps = draw(st.lists(st.floats(0.01, 10.0), min_size=n - 1,
+                         max_size=n - 1))
+    x = draw(st.floats(-100.0, 100.0)) + np.cumsum([0.0, *gaps])
+    if draw(st.booleans()):
+        y = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                                   min_size=n, max_size=n)))
+    else:
+        steps = []
+        while len(steps) < n - 1:
+            sign = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+            steps += [sign * draw(st.floats(1e-3, 1.0))
+                      for _ in range(draw(st.integers(1, 8)))]
+        y = draw(st.floats(-10.0, 10.0)) + np.cumsum([0.0, *steps[:n - 1]])
+    inside = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                    max_size=50)))
+    t = np.concatenate([x, x[0] + inside * (x[-1] - x[0]),
+                        np.nextafter(x[[0, -1]], [-math.inf, math.inf]),
+                        x[[0, -1]] + [-1.0, 1.0], [math.nan, -math.inf,
+                                                   math.inf]])
+    return x, y, t
+
+
+def pchip_deviations(x, y, t):
+    """Largest |pchip - PchipInterpolator(extrapolate=False)| at t, over
+    max |y| in value and over the largest |secant| in derivative; each is
+    NaN exactly where scipy's is, and pchip warns of nothing."""
+    ref = PchipInterpolator(x, y, extrapolate=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pchip(x, y)(t)
+    scales = np.max(np.abs(y)), np.max(np.abs(np.diff(y) / np.diff(x)))
+    deviations = []
+    for value, want, scale in zip(got, (ref(t), ref.derivative()(t)),
+                                  scales):
+        assert np.array_equal(np.isnan(value), np.isnan(want))
+        on = ~np.isnan(want)
+        error = np.max(np.abs(value[on] - want[on]), initial=0.0)
+        deviations.append(error / scale if scale else error)
+    return deviations
+
+
+@settings(max_examples=200, deadline=None)
+@given(pchip_tables())
+def test_pchip_matches_scipy(table):
+    value, slope = pchip_deviations(*table)
+    assert value <= 1e-13 and slope <= 1e-13
+
+
+def test_two_node_pchip_is_a_line():
+    value, slope = pchip([1.0, 3.0], [2.0, 6.0])(np.array([1.0, 2.0, 3.0]))
+    assert value.tolist() == [2.0, 4.0, 6.0] and slope.tolist() == [2.0] * 3
+
+
+@pytest.mark.parametrize("x", [[], [1.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+def test_pchip_rejects_short_or_unordered_tables(x):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pchip(x, np.arange(len(x), dtype=float))
