@@ -5,7 +5,9 @@ measurement run: Faraday-rotation traces, dephasing of the damping factor
 for the three noise setups, efficiency decay during storage, the efficiency
 versus control power including its transverse average, the probe
 susceptibility, a full synthetic process tomography, and the 2-D efficiency
-optimization.  Identical (config, seed) pairs yield byte-identical tables.
+optimization.  fig4 and tomography draw each synthetic tomography of a
+sweep from its own random streams and reconstruct the sweep as one stack.
+Identical (config, seed) pairs yield byte-identical tables.
 """
 
 from __future__ import annotations  # np.random annotations load nothing
@@ -55,34 +57,35 @@ def _rotation_delay(cfg: RunConfig) -> float:
                            medium.gamma_total)
 
 
-def _tomography_once(cfg: RunConfig, t_store: float, eta: float,
-                     noise: NoiseModel, shots: int, rep_tags: tuple):
-    """One 12-measurement tomography, one pass over the 4 output states;
-    returns the (input, analyzer, port) readings, output states, params and
-    residual."""
+def _tomography_sweep(cfg: RunConfig, t_store: np.ndarray, eta: float,
+                      noise: NoiseModel, shots: int, tags: list[tuple]):
+    """A 12-measurement tomography at each storage time t_store[j], drawn
+    from tags[j]'s random streams and reconstructed as one stack; returns the
+    (time, input, analyzer, port) readings, states, params and residuals."""
     tau_d = _rotation_delay(cfg)
     inputs = canonical_inputs()
     if shots == 0:
         alpha = damping_factor(t_store, sigma_alpha_from_noise(noise.sigma_b))
         phi = rotation_angle(t_store, tau_d, faraday_frequency(noise.mean_bz))
-        ensemble = memory_mueller(MemoryParams(eta, alpha, phi)).m
-        columns = ensemble @ inputs.as_array()
+        columns = np.moveaxis(memory_mueller(MemoryParams(eta, alpha, phi)).m
+                              @ inputs.as_array(), -2, 0)
     else:
-        columns = np.column_stack([
-            sample_shots(PoincareVector(*u), t_store, tau_d, eta, noise,
-                         shots, _child_seed(cfg, *rep_tags, k)).mean(axis=0)
-            for k, u in enumerate(poincare(inputs).as_array().T)])
+        columns = np.array([[
+            sample_shots(PoincareVector(*u), t, tau_d, eta, noise, shots,
+                         _child_seed(cfg, *tag, k)).mean(axis=0)
+            for k, u in enumerate(poincare(inputs).as_array().T)]
+            for t, tag in zip(t_store, tags)]).transpose(2, 0, 1)
     states = StokesVector(*(columns * cfg.attenuation_factor()))
     ports = np.array([measure(states, basis) for basis in ANALYZERS.values()])
-    readings = apply_detector_noise(   # drawn input-major, as (4, 3, 2)
-        ports.transpose(2, 0, 1),
-        np.random.default_rng(_child_seed(cfg, *rep_tags, 7)),
-        cfg.raw["detector.relative_sigma"], cfg.raw["detector.background"])
+    readings = np.array([   # each time draws input-major, as (4, 3, 2)
+        apply_detector_noise(
+            per_time, np.random.default_rng(_child_seed(cfg, *tag, 7)),
+            cfg.raw["detector.relative_sigma"], cfg.raw["detector.background"])
+        for per_time, tag in zip(ports.transpose(2, 3, 0, 1), tags)])
     outputs = state_tomography(
-        dict(zip(ANALYZERS, readings.transpose(1, 2, 0)))).stokes
-    params, residual = extract_memory_params(
-        process_tomography(inputs, outputs))
-    return readings, outputs, params, residual
+        dict(zip(ANALYZERS, readings.transpose(2, 3, 0, 1)))).stokes
+    return (readings, outputs,
+            *extract_memory_params(process_tomography(inputs, outputs)))
 
 
 def cmd_fig3(cfg: RunConfig) -> Table:
@@ -113,8 +116,7 @@ def cmd_fig4(cfg: RunConfig) -> Table:
     n_points = cfg.raw["fig4.n_points"]
     shots = cfg.raw["fig4.shots"]
     factor = cfg.raw["fig4.t_max_sigma_factor"]
-    rows = []
-    metadata = []
+    rows, metadata = [], []
     # Shot noise makes reconstructions at strongly dephased times deviate
     # from the structured form; that is expected here and absorbed by the
     # Gaussian fit, so the structure warning (and only it) is suppressed
@@ -125,23 +127,20 @@ def cmd_fig4(cfg: RunConfig) -> Table:
             noise = NoiseModel.from_preset(preset, cfg.noise.mean_bz)
             sigma_alpha = sigma_alpha_from_noise(noise.sigma_b)
             t_grid = np.linspace(0.0, factor * sigma_alpha, n_points)
-            alphas = [_tomography_once(cfg, float(t), 1.0, noise, shots,
-                                       (4, p, i))[2].alpha
-                      for i, t in enumerate(t_grid)]
-            data = DataSeries(t_grid, np.array(alphas))
-            fit = fit_gaussian_decay(data)
+            alphas = _tomography_sweep(
+                cfg, t_grid, 1.0, noise, shots,
+                [(4, p, i) for i in range(n_points)])[2].alpha
+            fit = fit_gaussian_decay(DataSeries(t_grid, alphas))
             if not fit.converged:
                 raise RuntimeError(
                     f"Gaussian fit of alpha(t) failed for preset {preset!r}: "
                     f"{fit.message}")
-            sig = fit.params["sigma"]
-            amp = fit.params["amplitude"]
-            metadata.append(f"fit.{preset}.sigma_alpha_ms = {sig * 1e3:.6f}")
-            metadata.append(f"fit.{preset}.amplitude = {amp:.6f}")
-            model = damping_factor(t_grid, sigma_alpha)
-            fitted = amp * damping_factor(t_grid, sig)
-            rows += [(preset, t, a, m, f) for t, a, m, f
-                     in zip(t_grid * 1e3, alphas, model, fitted)]
+            sig, amp = fit.params["sigma"], fit.params["amplitude"]
+            metadata += [f"fit.{preset}.sigma_alpha_ms = {sig * 1e3:.6f}",
+                         f"fit.{preset}.amplitude = {amp:.6f}"]
+            rows += zip([preset] * n_points, t_grid * 1e3, alphas,
+                        damping_factor(t_grid, sigma_alpha),
+                        amp * damping_factor(t_grid, sig))
     return Table(
         header=["preset", "t_store_ms", "alpha_tomography", "alpha_model",
                 "alpha_fit"],
@@ -240,26 +239,23 @@ def cmd_tomography(cfg: RunConfig) -> Table:
     eta = cfg.raw["tomography.eta0"] \
         * float(eff.eta_decay(t_store, 1.0, sigma_recoil))
     cond = float(np.linalg.cond(canonical_inputs().as_array()))
-    rows = []
-    fidelities = []
-    for rep in range(repeats):
-        readings, _, params, residual = _tomography_once(
-            cfg, t_store, eta, cfg.noise, shots, (12, rep))
-        avg_f = average_process_fidelity(params.alpha)
-        fidelities.append(avg_f)
-        rows += [(rep, label, key, *pair, params.eta, params.alpha,
-                  params.phi, avg_f, residual, cond)
-                 for label, per_input in zip(INPUT_LABELS, readings.tolist())
-                 for key, pair in zip(ANALYZERS, per_input)]
+    readings, _, params, residuals = _tomography_sweep(
+        cfg, np.full(repeats, t_store), eta, cfg.noise, shots,
+        [(12, rep) for rep in range(repeats)])
+    fidelities = average_process_fidelity(params.alpha)
+    rows = [(rep, label, key, *pair, *record, cond)
+            for rep, (per_rep, *record) in enumerate(zip(
+                readings.tolist(), params.eta, params.alpha, params.phi,
+                fidelities, residuals))
+            for label, per_input in zip(INPUT_LABELS, per_rep)
+            for key, pair in zip(ANALYZERS, per_input)]
     metadata = [f"t_store_us = {t_store * 1e6:g}",
                 f"eta_injected = {eta:.12g}"]
     if repeats > 1:
-        arr = np.array(fidelities)
-        metadata.append(f"avg_fidelity_mean = {arr.mean():.9f}")
-        metadata.append(f"avg_fidelity_std = {arr.std(ddof=1):.3g}")
-        metadata.append(
-            f"avg_fidelity_stderr = "
-            f"{arr.std(ddof=1) / math.sqrt(len(arr)):.3g}")
+        std = fidelities.std(ddof=1)
+        metadata += [f"avg_fidelity_mean = {fidelities.mean():.9f}",
+                     f"avg_fidelity_std = {std:.3g}",
+                     f"avg_fidelity_stderr = {std / math.sqrt(repeats):.3g}"]
     return Table(
         header=["repetition", "input", "basis", "i_plus", "i_minus", "eta",
                 "alpha", "phi_rad", "avg_fidelity", "residual",

@@ -32,29 +32,29 @@ DEFAULT_MEAN_BZ = 1.0 / 7.0
 
 @dataclass(frozen=True)
 class MuellerMatrix:
-    """4x4 real map from input to output Stokes vectors."""
+    """Real 4x4 map of Stokes vectors, or a (..., 4, 4) stack of them."""
 
     m: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.m, dtype=float)
-        if mat.shape != (4, 4):
+        if mat.shape[-2:] != (4, 4):
             raise ValueError("Mueller matrix must be 4x4")
         object.__setattr__(self, "m", mat)
 
 
 @dataclass(frozen=True)
 class MemoryParams:
-    """(eta, alpha, phi) triple parameterizing the memory process."""
+    """(eta, alpha, phi) of the memory process, or arrays of them."""
 
     eta: float
     alpha: float
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
+        if not np.all((0.0 <= self.eta) & (self.eta <= 1.0)):
             raise ValueError("efficiency eta must lie in [0, 1]")
-        if not 0.0 <= self.alpha <= 1.0:
+        if not np.all((0.0 <= self.alpha) & (self.alpha <= 1.0)):
             raise ValueError("damping alpha must lie in [0, 1]")
 
 
@@ -100,16 +100,16 @@ def rotation_angle(t_store, tau_d: float, omega_f):
 
 
 def memory_mueller(params: MemoryParams) -> MuellerMatrix:
-    """Mueller matrix of the memory: eta-scaled rotation with damping."""
-    c = params.alpha * math.cos(params.phi)
-    s = params.alpha * math.sin(params.phi)
+    """Mueller matrix of the memory: eta-scaled rotation with damping; array
+    params give a stack of matrices, one per element of their shape."""
+    c = params.alpha * np.cos(params.phi)
+    s = params.alpha * np.sin(params.phi)
     eta = params.eta
-    return MuellerMatrix(np.array([
-        [eta, 0.0, 0.0, 0.0],
-        [0.0, eta * c, -eta * s, 0.0],
-        [0.0, eta * s, eta * c, 0.0],
-        [0.0, 0.0, 0.0, eta],
-    ]))
+    m = np.zeros(np.broadcast(eta, c).shape + (4, 4))
+    m[..., 0, 0] = m[..., 3, 3] = eta
+    m[..., 1, 1] = m[..., 2, 2] = eta * c
+    m[..., 1, 2], m[..., 2, 1] = -eta * s, eta * s
+    return MuellerMatrix(m)
 
 
 def apply_mueller(m: MuellerMatrix, s_in: StokesVector) -> StokesVector:
@@ -149,8 +149,8 @@ def sigma_alpha_from_noise(sigma_b: float) -> float:
 
 
 def average_process_fidelity(alpha: float) -> float:
-    """Process fidelity averaged over all pure inputs: (2 + alpha)/3."""
-    if not 0.0 <= alpha <= 1.0:
+    """Average process fidelity (2 + alpha)/3; ``alpha`` broadcasts."""
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
     return (2.0 + alpha) / 3.0
 

@@ -3,7 +3,8 @@
 Three analyzer settings (H/V, D/A, R/L) determine a Stokes vector; four
 linearly independent input states probed this way determine the full Mueller
 matrix by a linear solve.  The structured memory form then yields the
-(eta, alpha, phi) figures of merit.
+(eta, alpha, phi) figures of merit.  Each kernel also takes a stack of
+experiments along leading axes and reconstructs them in one call.
 """
 
 import math
@@ -79,16 +80,17 @@ def state_tomography(
 def process_tomography(inputs: StokesVector,
                        outputs: StokesVector) -> MuellerMatrix:
     """Solve S_out(k) = M S_in(k), k = 1..4, for the unique Mueller matrix;
-    ``inputs`` and ``outputs`` are stacks of 4 states."""
-    x, y = inputs.as_array(), outputs.as_array()
-    if x.shape != (4, 4) or y.shape != (4, 4):
+    ``inputs`` is a stack of 4 states, and ``outputs`` fields of shape
+    (..., 4) give a (..., 4, 4) stack of matrices from one solve."""
+    x, y_t = inputs.as_array(), np.moveaxis(outputs.as_array(), 0, -1)
+    if x.shape != (4, 4) or y_t.ndim < 2 or y_t.shape[-2] != 4:
         raise ValueError("process tomography needs 4 input/output pairs")
     cond = np.linalg.cond(x)
     if cond > CONDITION_LIMIT:
         raise np.linalg.LinAlgError(
             f"input states are ill-conditioned (cond = {cond:.3g})")
-    # M X = Y  <=>  X^T M^T = Y^T
-    return MuellerMatrix(np.linalg.solve(x.T, y.T).T)
+    # M X = Y  <=>  X^T M^T = Y^T, and y_t[..., k, :] is output state k
+    return MuellerMatrix(np.linalg.solve(x.T, y_t).swapaxes(-1, -2))
 
 
 def extract_memory_params(m: MuellerMatrix) -> tuple[MemoryParams, float]:
@@ -99,19 +101,21 @@ def extract_memory_params(m: MuellerMatrix) -> tuple[MemoryParams, float]:
     [0, 1]), and phi its angle (0 by convention when the block vanishes).
     The residual is the Frobenius distance to the structured form, in units
     of eta; values above 0.1 indicate the matrix is not a memory process.
+    A (..., 4, 4) stack gives (...) arrays, and warns once per such record.
     """
     mat = m.m
-    eta = 0.5 * (mat[0, 0] + mat[3, 3])
-    if eta <= 0:
+    eta = 0.5 * (mat[..., 0, 0] + mat[..., 3, 3])
+    if np.count_nonzero(eta <= 0):
         raise ValueError("extracted efficiency is not positive")
-    rot = math.hypot(mat[1, 1], mat[2, 1])
-    alpha = min(rot / eta, 1.0)
-    phi = math.atan2(mat[2, 1], mat[1, 1]) if rot > 0 else 0.0
-    params = MemoryParams(min(eta, 1.0), alpha, phi)
-    residual = float(
-        np.linalg.norm(mat - memory_mueller(params).m) / params.eta)
-    if residual > 0.1:
+    rot = np.hypot(mat[..., 1, 1], mat[..., 2, 1])
+    phi = np.where(rot > 0, np.arctan2(mat[..., 2, 1], mat[..., 1, 1]), 0.0)
+    params = MemoryParams(np.minimum(eta, 1.0), np.minimum(rot / eta, 1.0),
+                          phi[()])
+    # a dot product per record gives np.linalg.norm's bits
+    diff = (mat - memory_mueller(params).m).reshape(mat.shape[:-2] + (1, 16))
+    residual = np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0] / params.eta
+    for value in residual[residual > 0.1]:
         warnings.warn(
             f"matrix deviates from the memory form (residual = "
-            f"{residual:.3g})", StructureWarning, stacklevel=2)
+            f"{value:.3g})", StructureWarning, stacklevel=2)
     return params, residual

@@ -82,6 +82,24 @@ class TestMemoryMueller:
         with pytest.raises(ValueError):
             MemoryParams(0.5, -0.1, 0.0)
 
+    @pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
+    def test_array_validation_keeps_the_scalar_message(self, bad):
+        good = np.array([0.5, 0.9])
+        values = np.array([0.5, bad])
+        with pytest.raises(ValueError, match="^efficiency eta must lie"):
+            MemoryParams(values, good, 0.0)
+        with pytest.raises(ValueError, match="^damping alpha must lie"):
+            MemoryParams(good, values, 0.0)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\]$"):
+            average_process_fidelity(values)
+
+    def test_stack_of_matrices(self):
+        stack = MuellerMatrix(np.zeros((2, 3, 4, 4)))
+        assert stack.m.shape == (2, 3, 4, 4)
+        for shape in ((4,), (16,), (4, 3), (2, 4, 5)):
+            with pytest.raises(ValueError, match="must be 4x4"):
+                MuellerMatrix(np.zeros(shape))
+
     def test_composition(self, rng):
         for _ in range(50):
             e1, e2 = rng.uniform(0.1, 1.0, 2)

@@ -12,9 +12,9 @@ from becmemory.cli import main
 from becmemory.config import RunConfig
 from becmemory.eit import optical_depth, pulse_delay
 from becmemory.memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix,
-                              apply_detector_noise, damping_factor,
-                              faraday_frequency, memory_mueller,
-                              rotation_angle, sample_shots,
+                              apply_detector_noise, average_process_fidelity,
+                              damping_factor, faraday_frequency,
+                              memory_mueller, rotation_angle, sample_shots,
                               sigma_alpha_from_noise)
 from becmemory.polarization import (BASIS_DA, BASIS_HV, BASIS_RL,
                                     StokesVector, measure, poincare)
@@ -36,8 +36,10 @@ def readings_for(s: StokesVector, rng=None, sigma=0.0):
 
 
 def outputs_for(m: np.ndarray) -> StokesVector:
-    """The stack of states the process m makes of canonical_inputs()."""
-    return StokesVector(*(m @ canonical_inputs().as_array()))
+    """The stack of states the process m makes of canonical_inputs(); a
+    (n, 4, 4) stack of processes gives fields of shape (n, 4)."""
+    return StokesVector(*np.moveaxis(m @ canonical_inputs().as_array(),
+                                     -2, 0))
 
 
 def stack_of(states) -> StokesVector:
@@ -174,16 +176,20 @@ class TestArrayPass:
            attenuated=st.booleans(), delayed=st.booleans(),
            preset=st.sampled_from(sorted(NOISE_PRESETS)),
            static_field=st.booleans(), t_store_us=st.floats(0.0, 2000.0),
+           more_times_us=st.lists(st.floats(0.0, 2000.0), max_size=2),
            eta=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
     @example(shots=50, sigma=0.02, background=0.0, attenuated=False,
              delayed=False, preset="line-synced", static_field=True,
-             t_store_us=1870.1448475755365, eta=0.5664437418921517,
+             t_store_us=1870.1448475755365, more_times_us=[],
+             eta=0.5664437418921517,
              seed=12345)    # all shots alike: the clamp scales 3 states
     def test_matches_per_input_loop(self, shots, sigma, background,
                                     attenuated, delayed, preset,
-                                    static_field, t_store_us, eta, seed):
-        # the one array pass gives the per-input loop's bits: readings,
-        # output states, (eta, alpha, phi) and residual, or its error
+                                    static_field, t_store_us, more_times_us,
+                                    eta, seed):
+        # the sweep over 1-3 storage times gives, at each time, the
+        # per-input loop's bits: readings, output states, (eta, alpha, phi)
+        # and residual, or the error of one of its times
         cfg = RunConfig.from_mapping({
             "detector.relative_sigma": sigma,
             "detector.background": background,
@@ -192,18 +198,25 @@ class TestArrayPass:
             "noise.preset": "custom" if static_field else preset,
             "noise.sigma_b_mg": 0.0 if static_field else -1.0,
             "seed": seed})
-        args = (cfg, t_store_us * 1e-6, eta, cfg.noise, shots, (4, 1, 2))
-        expected = outcome(looped_tomography, *args)
-        got = outcome(commands._tomography_once, *args)
-        if isinstance(expected[0], type):
-            assert got == expected
+        times = np.array([t_store_us, *more_times_us]) * 1e-6
+        tags = [(4, 1, 2 + j) for j in range(len(times))]
+        expected = [outcome(looped_tomography, cfg, t, eta, cfg.noise, shots,
+                            tag) for t, tag in zip(times, tags)]
+        got = outcome(commands._tomography_sweep, cfg, times, eta, cfg.noise,
+                      shots, tags)
+        errors = [e for e in expected if isinstance(e[0], type)]
+        if errors:
+            assert got in errors
             return
-        readings, outputs, params, residual = expected
         got_readings, got_outputs, got_params, got_residual = got
-        assert got_readings.tobytes() == np.array(readings).tobytes()
-        assert [bits(got_outputs, k) for k in range(4)] \
-            == [bits(s) for s in outputs]
-        assert (got_params, got_residual) == (params, residual)
+        for j, (readings, outputs, params, residual) in enumerate(expected):
+            assert got_readings[j].tobytes() == np.array(readings).tobytes()
+            at_time = StokesVector(*got_outputs.as_array()[:, j])
+            assert [bits(at_time, k) for k in range(4)] \
+                == [bits(s) for s in outputs]
+            assert (got_params.eta[j], got_params.alpha[j],
+                    got_params.phi[j], got_residual[j]) \
+                == (params.eta, params.alpha, params.phi, residual)
 
 
 class TestProcessTomography:
@@ -330,6 +343,91 @@ class TestExtractMemoryParams:
         bad[0, 3] = 0.5
         with pytest.warns(StructureWarning):
             extract_memory_params(MuellerMatrix(bad))
+
+
+RECORDS = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                    st.floats(-4.0, 4.0),
+                    st.sampled_from([0.0, 1e-3, 0.05, 0.3, 2.0]),
+                    st.lists(st.floats(-1.0, 1.0), min_size=16,
+                             max_size=16))
+
+
+def extract_with_warnings(m: MuellerMatrix):
+    """extract_memory_params' result, or its ValueError's text, and the
+    texts of the StructureWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = extract_memory_params(m)
+        except ValueError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught
+                    if w.category is StructureWarning]
+
+
+class TestStackedProcess:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(RECORDS, min_size=1, max_size=6))
+    @example(records=[(0.5, 0.9, 0.7, 0.0, [0.0] * 16),
+                      (0.5, 0.9, 0.7, 2.0,
+                       [-1.0] + [0.0] * 14 + [-1.0])])   # one eta <= 0
+    @example(records=[(0.3, 0.9, 0.7, 0.3, [1.0] * 16),
+                      (1.0, 1.0, 0.0, 0.0, [0.0] * 16),
+                      (0.8, 0.2, -3.0, 0.3, [-1.0] * 16)])   # 2 deviate
+    def test_scalar_call_gives_stack_element_bits(self, records):
+        # memory_mueller, process_tomography, extract_memory_params and
+        # average_process_fidelity give each record of a stack the bits of
+        # its own scalar call; a stack raises its record's ValueError and
+        # warns once per record that leaves the memory form
+        etas, alphas, phis, scales, noise = (np.array(c)
+                                             for c in zip(*records))
+        singles = [memory_mueller(MemoryParams(*r[:3])).m for r in records]
+        stack = memory_mueller(MemoryParams(etas, alphas, phis)).m
+        assert stack.shape == (len(records), 4, 4)
+        assert [m.tobytes() for m in stack] == [m.tobytes() for m in singles]
+
+        measured = np.array(singles) \
+            + scales[:, None, None] * noise.reshape(-1, 4, 4)
+        single_m = [process_tomography(canonical_inputs(), outputs_for(m)).m
+                    for m in measured]
+        stack_m = process_tomography(canonical_inputs(),
+                                     outputs_for(measured)).m
+        assert [m.tobytes() for m in stack_m] \
+            == [m.tobytes() for m in single_m]
+
+        each = [extract_with_warnings(MuellerMatrix(m)) for m in single_m]
+        got, caught = extract_with_warnings(MuellerMatrix(stack_m))
+        errors = [result for result, _ in each if isinstance(result, str)]
+        if errors:
+            assert got == errors[0]
+            return
+        assert caught == [text for _, texts in each for text in texts]
+        params, residual = got
+        for k, ((one, one_residual), _) in enumerate(each):
+            assert np.array([one.eta, one.alpha, one.phi,
+                             one_residual]).tobytes() \
+                == np.array([params.eta[k], params.alpha[k], params.phi[k],
+                             residual[k]]).tobytes()
+        assert average_process_fidelity(params.alpha).tobytes() \
+            == np.array([average_process_fidelity(one.alpha)
+                         for (one, _), _ in each]).tobytes()
+
+    def test_one_nonpositive_eta_raises_its_error(self):
+        good = memory_mueller(MemoryParams(0.5, 0.9, 0.7)).m
+        with pytest.raises(ValueError) as scalar:
+            extract_memory_params(MuellerMatrix(-good))
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(scalar.value))}$"):
+            extract_memory_params(MuellerMatrix(np.array([good, -good])))
+
+    def test_one_warning_per_deviating_record(self):
+        good = memory_mueller(MemoryParams(0.5, 0.9, 0.7)).m
+        bad = good.copy()
+        bad[0, 3] = 0.5
+        for k in range(4):
+            stack = MuellerMatrix(np.array([bad] * k + [good] * (4 - k)))
+            _, caught = extract_with_warnings(stack)
+            assert len(caught) == k
 
 
 class TestNoiseScaling:
