@@ -100,8 +100,7 @@ def rotation_angle(t_store, tau_d: float, omega_f):
 
 
 def memory_mueller(params: MemoryParams) -> MuellerMatrix:
-    """Mueller matrix of the memory: eta-scaled rotation with damping; array
-    params give a stack of matrices, one per element of their shape."""
+    """Memory Mueller matrix, eta-scaled damped rotation; a stack for arrays."""
     c = params.alpha * np.cos(params.phi)
     s = params.alpha * np.sin(params.phi)
     eta = params.eta
@@ -113,12 +112,13 @@ def memory_mueller(params: MemoryParams) -> MuellerMatrix:
 
 
 def apply_mueller(m: MuellerMatrix, s_in: StokesVector) -> StokesVector:
-    """Apply a Mueller matrix to a Stokes vector or to a stack of them.
+    """Apply a Mueller matrix (or a stack) to a state or a stack of states.
 
     The output is tested against the Stokes invariants and a warning is
     issued if any state violates them (an unphysical matrix).
     """
-    out = StokesVector(*(m.m @ s_in.as_array()))
+    x = s_in.as_array()     # m.m @ x holds the fields on axis -x.ndim
+    out = StokesVector(*np.moveaxis(m.m @ x, -x.ndim, 0))
     if not np.all(out.is_physical()):
         warnings.warn("Mueller matrix produced an unphysical Stokes vector",
                       stacklevel=2)

@@ -142,6 +142,18 @@ class TestApplyMueller:
                 apply_mueller(m, StokesVector(*row)).as_array(),
                 rtol=1e-15, atol=1e-15)
 
+    def test_stack_of_matrices_matches_each_matrix(self, rng):
+        stack = memory_mueller(MemoryParams(rng.uniform(0.1, 1.0, 3),
+                                            rng.uniform(0.0, 1.0, 3),
+                                            rng.uniform(-3.0, 3.0, 3)))
+        states = StokesVector(*np.array([[1.0, 1.0, 0.0, 0.0],
+                                         [2.0, 0.0, 1.2, 1.6]]).T)
+        for s_in in (StokesVector(1.0, 0.0, 0.6, 0.8), states):
+            out = apply_mueller(stack, s_in).as_array()
+            for k, m in enumerate(stack.m):
+                one = apply_mueller(MuellerMatrix(m), s_in).as_array()
+                assert out[:, k].tobytes() == one.tobytes()
+
     def test_stack_warns_when_one_state_is_unphysical(self):
         # the unpolarized state stays inside the sphere, H leaves it
         bad = MuellerMatrix(2.0 * np.eye(4) + 0.5)

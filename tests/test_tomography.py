@@ -404,6 +404,9 @@ class TestStackedProcess:
         assert caught == [text for _, texts in each for text in texts]
         params, residual = got
         for k, ((one, one_residual), _) in enumerate(each):
+            # the residual has np.linalg.norm's bits
+            assert one_residual == np.linalg.norm(
+                single_m[k] - memory_mueller(one).m) / one.eta
             assert np.array([one.eta, one.alpha, one.phi,
                              one_residual]).tobytes() \
                 == np.array([params.eta[k], params.alpha[k], params.phi[k],
