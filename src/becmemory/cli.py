@@ -50,6 +50,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     failure = None
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")     # a repeated text prints each time
         try:
             cfg = load_config(args.config, args.overrides, args.preset,
                               args.seed)

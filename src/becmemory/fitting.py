@@ -8,7 +8,10 @@ runs one numpy Levenberg-Marquardt loop, ``least_squares``, and the
 reference curve is ``numerics.pchip``, so none loads scipy; standard errors
 come from the scaled inverse Gauss-Newton normal matrix at the optimum.
 
-The sinusoid and the scaled model give the loop their analytic Jacobians.
+The sinusoid fit starts the loop at the peak of one FFT of the data
+(``_coarse_scan``), close enough to land in the right frequency basin; the
+loop then solves for the frequency with the other parameters.  The
+sinusoid and the scaled model give the loop their analytic Jacobians.
 The Gaussian decay (fig4) gives it none and gets scipy's 2-point one:
 perfbench's fig4 reference records that Jacobian's bias, so the fit moves
 to an exact one only once the reference is re-derived (ROADMAP item 1).
@@ -20,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .numerics import maximize, pchip
+from .numerics import pchip
 
 
 # Tolerance of the solver on the step, the decrease and the gradient.
@@ -48,8 +51,10 @@ def least_squares(fun, x0, jac=None, max_nfev=2000):
     below ``LM_LAMBDA_MIN``, the closer the decrease came to the one the
     linear model predicted; after each step that does not, it grows by a
     factor that doubles each time, 2, 4, 8, ...
-    J^T J and J^T r are summed with ``einsum``, in the calling thread, as
-    ``_explained_by`` explains.
+    J^T J and J^T r are summed with ``einsum``, not ``@``: OpenBLAS hands a
+    product over a few thousand samples to its worker threads, which then
+    spin on a second core between calls and make the fit's speed depend on
+    whatever else runs on the machine.
 
     The result has ``x``, ``fun``, ``jac``, ``nfev`` and ``status``, which
     follows scipy's: 1 when every column's cosine with the residual, its
@@ -183,62 +188,6 @@ def _finish(names, data: DataSeries, model, p0, jacobian=None) -> FitResult:
 
 # Largest FFT the coarse frequency scan takes (2**22 float64 samples, 32 MB).
 FFT_MAX_SAMPLES = 1 << 22
-# The cos and sin columns of a trial frequency count as parallel where the
-# smaller principal value of their 2x2 Gram matrix is at most this fraction
-# of its trace; the sine axis is then rounding noise.
-GRAM_RTOL = 1e-12
-# Grid points of the zoom over its +-2 step window, and the width, in steps,
-# to which Brent's method narrows the bracket around the best.
-ZOOM_POINTS = 17
-ZOOM_XTOL = 1e-7
-# Past ZOOM_XTOL steps golden-section steps go on while the two best values
-# differ by more than ZOOM_FTOL of the larger, down to a bracket ZOOM_XMIN
-# of the frequency wide, a few dozen ulps.  At a smooth peak the values
-# agree by then.  At the edge of the band around a lattice's Nyquist
-# frequency, where the sine term is dropped, the variance jumps, and the
-# largest value lies at the edge itself, which the bracket narrows onto.
-ZOOM_FTOL = 1e-12
-ZOOM_XMIN = 1e-14
-
-
-def _explained_by(x, ye, e2):
-    """Variance of ``ye`` explained by a sinusoid at each trial frequency,
-    as a function of the frequencies, which centres x and sums e2 once.
-
-    The amplitude and phase are profiled out under the squared envelope
-    ``e2``.  Each frequency's cos and sin columns are first rotated by the
-    Lomb-Scargle offset (Scargle, ApJ 263, 835, 1982), which makes them
-    orthogonal under the weights e2, so the variance is the sum of two
-    one-column projections.  The smaller principal value, sum e2 sin^2 of
-    the rotated phase, is summed from its terms rather than found as a
-    difference of near-equal sums, so the value stays accurate where the
-    columns are nearly parallel: next to f = 0, and next to a lattice's
-    Nyquist frequency, where the sine column vanishes.  Where that value
-    is at most ``GRAM_RTOL`` of sum e2 the columns are parallel, and only
-    the projection onto the cosine axis is kept.
-    """
-    # The value is unchanged by a shift of x; centring it keeps the
-    # phases, and their rounding errors, small.
-    x = x - 0.5 * (x.min() + x.max())
-    sum_e2 = e2.sum()
-
-    def explained(freqs):
-        phase = np.exp(-2j * math.pi * freqs[:, None] * x)
-        # The sums over samples go through einsum, not ``@``: OpenBLAS hands
-        # a complex matrix-vector product of a few thousand elements to its
-        # worker threads, which then spin on a second core between calls and
-        # make the fit's speed depend on whatever else runs on the machine.
-        z1 = np.einsum("fn,n->f", phase, ye)     # sum ye (cos - i sin)
-        rotation = np.exp(-0.5j * np.angle(np.einsum("fn,n->f",
-                                                     phase * phase, e2)))
-        z1 = z1 * rotation                       # the same, rotated
-        sin2 = np.einsum("fn,n->f", (phase * rotation[:, None]).imag**2, e2)
-        parallel = sin2 <= GRAM_RTOL * sum_e2
-        return z1.real**2 / (sum_e2 - sin2) + np.where(
-            parallel, 0.0, z1.imag**2 / np.where(parallel, 1.0, sin2))
-    return explained
-
-
 def _coarse_scan(x, ye, span):
     """Frequency of the largest diagonal-Gram power |sum ye exp(-2 pi i f x)|^2
     over [0.25/span, 0.5/dx], dx the smallest gap, by extirpolation (Press &
@@ -287,52 +236,22 @@ def _coarse_scan(x, ye, span):
     return (first + int(np.argmax(power))) * bin_width
 
 
-def _zoom(x, ye, e2, best, step):
-    """Frequency of the largest profiled variance within +-2 steps of best.
-
-    ``ZOOM_POINTS`` evenly spaced frequencies rank the window; Brent's
-    method (``numerics.maximize``) then narrows the bracket between the
-    best node's neighbours, from that node, to ``ZOOM_XTOL`` steps, and
-    further while its two best values differ by more than ``ZOOM_FTOL``
-    (see there).  At an edge node the bracket reaches one spacing past the
-    window, where the peak then lies.
-    """
-    freqs = np.linspace(max(best - 2.0 * step, 0.0), best + 2.0 * step,
-                        ZOOM_POINTS)
-    explained = _explained_by(x, ye, e2)
-    values = explained(freqs)
-    k = int(np.argmax(values))
-    spacing = freqs[1] - freqs[0]
-    return maximize(lambda f: explained(np.array([f]))[0],
-                    max(freqs[k] - spacing, 0.0), freqs[k] + spacing,
-                    freqs[k], values[k], ZOOM_XTOL * step, ZOOM_FTOL,
-                    ZOOM_XMIN)
-
-
 def _dominant_frequency(x, y, envelope) -> float:
-    """Angular frequency maximizing the explained variance of an
-    envelope-weighted sinusoid.
+    """Angular frequency of the largest diagonal-Gram power of the
+    envelope-weighted data, ``_coarse_scan``'s peak: the discrete-spectrum
+    peak generalized to irregular sampling.
 
-    This is the discrete-spectrum peak generalized to irregular sampling:
-    at each trial frequency the amplitude and phase are profiled out by a
-    linear solve, and a bracketed search zooms in on the best frequency.
     Data with long gaps have near-degenerate frequency basins spaced by
     ~1/span; ranking them with the envelope included picks the right one.
-
-    The mainlobe is only ~1/span wide, so the coarse scan must resolve it or
-    a sidelobe of the sampling comb wins.  It ranks basins with the cheap
-    diagonal-Gram power, one zero-padded FFT of the extirpolated samples
-    (``_coarse_scan``).  The zoom's steps are 1/(4 span), not the finer
-    bin width, so that its +-2 step window reaches the profiled peak, which
-    can sit a tenth of 1/span from the diagonal-Gram one.
+    The scan's bins are at most 1/(4 span) wide, so its peak starts the
+    solver inside a basin about 1/span wide, and the solver, which solves
+    for the frequency anyway, goes on to the basin's minimum.
     """
     span = x.max() - x.min()
     if span <= 0:
         return 0.0
-    ye = (y - y.mean()) * envelope
-    best = _coarse_scan(x, ye, span)
-    return 2.0 * math.pi * float(_zoom(x, ye, envelope**2, best,
-                                       0.25 / span))
+    return 2.0 * math.pi * float(_coarse_scan(x, (y - y.mean()) * envelope,
+                                              span))
 
 
 def _second_moment_width(x, y) -> float:

@@ -1,11 +1,10 @@
-"""numpy kernels: erf, i0e, quadrature, a bracketed maximizer and pchip.
+"""numpy kernels: erf, i0e, quadrature and pchip.
 
 ``erf`` and ``i0e`` evaluate the Cephes approximations (Moshier) that
 scipy.special evaluates too.  ``quad`` is the vector-valued adaptive
 Gauss-Kronrod 21 rule of scipy's ``quad_vec`` (QUADPACK; Piessens et al.
 1983), calling the integrand once per round for all new intervals.
-``maximize`` is Brent's method on a bracket, for the fits, and ``pchip``
-scipy's monotone cubic interpolant, for the scaled-model fit.
+``pchip`` is scipy's monotone cubic interpolant, for the scaled-model fit.
 """
 
 import math
@@ -194,46 +193,6 @@ def quad(f, a, b, epsabs=1e-200, epsrel=1e-8, limit=10000):
             break
     value = float(total[0]) if shape == () else total.reshape(shape)
     return value, float(error + rounding)
-
-
-def maximize(f, lo, hi, x, fx, xtol, ftol=math.inf, xmin=0.0):
-    """Point of the largest f found in [lo, hi], from x in it, fx = f(x).
-
-    Brent's method (*Algorithms for Minimization without Derivatives*, 1973,
-    ch. 5; scipy's ``fminbound``) narrows the bracket to ``xtol`` by steps
-    no shorter than xtol/4.  Golden-section steps then go on while the two
-    best values differ by more than ``ftol`` of the larger, down to a
-    bracket ``xmin`` > 0 of its larger end wide: so it narrows onto a jump
-    of f whose largest value lies at the jump.
-    """
-    w, fw, v, fv, d, e = x, fx, x, fx, 0.0, 0.0
-    while hi - lo > xtol or (abs(fx - fw) > ftol * max(abs(fx), abs(fw))
-                             and hi - lo > xmin * max(abs(lo), abs(hi))):
-        brent = hi - lo > xtol
-        tol = sys.float_info.epsilon * abs(x) + (0.25 * xtol if brent else 0)
-        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-        p, q, last, e = -p if q > 0 else p, abs(q), e, d
-        if brent and abs(last) > tol and abs(p) < abs(0.5 * q * last) \
-                and q * (lo - x) < p < q * (hi - x):
-            d = p / q
-            if min(x + d - lo, hi - x - d) < 2.0 * tol:
-                d = math.copysign(tol, 0.5 * (lo + hi) - x)
-        else:       # golden section of the larger part
-            e = (lo if x >= 0.5 * (lo + hi) else hi) - x
-            d = 0.5 * (3.0 - math.sqrt(5.0)) * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu >= fx:
-            lo, hi = (x, hi) if u >= x else (lo, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            lo, hi = (u, hi) if u < x else (lo, u)
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v in (x, w):
-                v, fv = u, fu
-    return x
 
 
 def pchip(x, y):

@@ -43,10 +43,10 @@ class StokesVector:
             raise ValueError("degree of polarization undefined for s0 <= 0")
         return self.polarized_intensity / self.s0
 
-    def is_physical(self, tol: float = DOP_TOLERANCE) -> bool:
-        """s0 >= 0 and |s_vec|^2 <= s0^2 (1 + tol), per state."""
+    def is_physical(self) -> bool:
+        """s0 >= 0 and |s_vec|^2 <= s0^2 (1 + DOP_TOLERANCE), per state."""
         return (self.s0 >= 0) & (np.square(self.polarized_intensity)
-                                 <= np.square(self.s0) * (1.0 + tol))
+                                 <= np.square(self.s0) * (1.0 + DOP_TOLERANCE))
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,15 @@ BASIS_DA = MeasurementBasis(PoincareVector(0.0, 1.0, 0.0))
 BASIS_RL = MeasurementBasis(PoincareVector(0.0, 0.0, 1.0))
 
 
-def clamp_physical(s: StokesVector, tol: float = DOP_TOLERANCE) -> StokesVector:
+def clamp_physical(s: StokesVector) -> StokesVector:
     """Return ``s`` with tiny sphere violations clamped, reject larger ones.
 
     Reconstructions from noiseless data may exceed the Poincare sphere by
-    rounding; those are scaled back onto it.  Violations beyond ``tol``
-    (relative to s0^2) indicate genuinely unphysical data and raise; a
-    stack raises the error of its first offending state.
+    rounding; those are scaled back onto it.  Violations beyond
+    ``DOP_TOLERANCE`` (relative to s0^2) indicate genuinely unphysical data
+    and raise; a stack raises the error of its first offending state.
     """
-    bad = ~s.is_physical(tol)
+    bad = ~s.is_physical()
     p = s.polarized_intensity
     if np.count_nonzero(bad):
         k = np.flatnonzero(bad)[0]

@@ -469,6 +469,18 @@ class TestCommandLine:
         assert all(line.startswith("becmem: warning: ")
                    for line in err.splitlines())
         assert ".py:" not in err
+        # one line per repeat whose residual exceeds 0.1, also where two
+        # residuals print alike
+        assert main(["tomography", "--out", str(out),
+                     "--set", "detector.relative_sigma=20",
+                     "--set", "tomography.repeats=40"]) == 0
+        err = capsys.readouterr().err
+        _, header, rows = read_table(str(out))
+        residuals = dict(zip(column(header, rows, "repetition", int),
+                             column(header, rows, "residual")))
+        assert len(residuals) == 40
+        assert err.count("becmem: warning: ") \
+            == sum(r > 0.1 for r in residuals.values()) == 40
 
     def test_fig4_suppresses_only_the_structure_warning(self, monkeypatch):
         from becmemory import commands

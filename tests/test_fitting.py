@@ -15,6 +15,7 @@ from becmemory.fitting import (DataSeries, FitResult, fit_damped_sinusoid,
 from becmemory.memory import (NoiseModel, faraday_frequency, sample_shots,
                               sigma_alpha_from_noise)
 from becmemory.polarization import PoincareVector
+from prefit_oracle import _explained_by, _zoom, zoomed_frequency
 
 TWO_PI = 2.0 * math.pi
 
@@ -235,15 +236,15 @@ def direct_scan(x, ye, span, min_step):
 
 
 def scan_against_direct_scan(x, y, env):
-    """Frequencies found by ``_dominant_frequency`` and by the direct scan
-    with the same zoom, and the profiled variance each explains, keyed
-    "scan" and "direct"."""
+    """Frequencies found by zooming ``_coarse_scan``'s peak and the direct
+    scan's with the same zoom, and the profiled variance each explains,
+    keyed "scan" and "direct"."""
     ye = (y - y.mean()) * env
     span = x.max() - x.min()
-    best = {"scan": fitting._dominant_frequency(x, y, env) / TWO_PI,
-            "direct": fitting._zoom(x, ye, env**2, *direct_scan(
+    best = {"scan": zoomed_frequency(x, y, env) / TWO_PI,
+            "direct": _zoom(x, ye, env**2, *direct_scan(
                 x, ye, span, np.diff(np.unique(x)).min()))}
-    explained = {name: fitting._explained_by(x, ye, env**2)(np.array([f]))[0]
+    explained = {name: _explained_by(x, ye, env**2)(np.array([f]))[0]
                  for name, f in best.items()}
     return best, explained
 
@@ -329,30 +330,31 @@ def fig3_trace():
 
 
 def zoom_against_window(x, y, env):
-    """Profiled variance explained at ``_zoom``'s result, started from the
-    coarse scan, and the largest on 20001 evenly spaced frequencies of the
-    zoom's window."""
+    """Profiled variance explained at the oracle ``_zoom``'s result, started
+    from the coarse scan, and the largest on 20001 evenly spaced
+    frequencies of the zoom's window."""
     ye = (y - y.mean()) * env
     step = 0.25 / np.ptp(x)
     best = fitting._coarse_scan(x, ye, np.ptp(x))
-    found = fitting._zoom(x, ye, env**2, best, step)
+    found = _zoom(x, ye, env**2, best, step)
     window = np.linspace(max(best - 2.0 * step, 0.0), best + 2.0 * step,
                          20001)
-    explained = fitting._explained_by(x, ye, env**2)
+    explained = _explained_by(x, ye, env**2)
     return explained(np.array([found]))[0], explained(window).max()
 
 
 class TestFrequencyScan:
     def test_lattice_result_unchanged(self):
         # value of the lattice-only FFT scan the extirpolated scan replaced,
-        # zoomed then by two passes of 512 frequencies; the bracketed zoom
-        # lands 1e-9 from it and explains as much
+        # zoomed then by two passes of 512 frequencies; the oracle's
+        # bracketed zoom of the coarse scan's peak lands 1e-9 from it and
+        # explains as much
         pinned = 1256653.704647717
         x, y, envelope = fig3_trace()
-        found = fitting._dominant_frequency(x, y, envelope)
+        found = zoomed_frequency(x, y, envelope)
         assert abs(found - pinned) <= 1e-8 * pinned
         ye = (y - y.mean()) * envelope
-        explained = fitting._explained_by(x, ye, envelope**2)(
+        explained = _explained_by(x, ye, envelope**2)(
             np.array([found, pinned]) / TWO_PI)
         assert explained[0] >= explained[1] * (1.0 - 1e-12)
 
@@ -400,7 +402,7 @@ class TestFrequencyScan:
         env = np.exp(-((x - x[0]) / np.ptp(x) - 0.3)**2)
         ye = env * rng.normal(size=n)
         cos = (-1.0) ** np.rint(x / delta)
-        value = fitting._explained_by(x, ye, env**2)(np.array([0.5 / delta]))
+        value = _explained_by(x, ye, env**2)(np.array([0.5 / delta]))
         assert value[0] == pytest.approx((ye @ cos)**2 / (env**2 @ cos**2),
                                          rel=1e-12)
 
@@ -415,30 +417,9 @@ class TestFrequencyScan:
         ye = (y - y.mean()) * env
         span = np.ptp(x)
         assert x.size == 13 and fitting._coarse_scan(x, ye, span) == 2.0
-        found = fitting._zoom(x, ye, env**2, 2.0, 0.25 / span)
-        value = fitting._explained_by(x, ye, env**2)(np.array([found]))[0]
+        found = _zoom(x, ye, env**2, 2.0, 0.25 / span)
+        value = _explained_by(x, ye, env**2)(np.array([found]))[0]
         assert value == pytest.approx(3.4979161475, rel=1e-9)
-
-    def test_zoom_on_fig3_takes_few_evaluations(self, monkeypatch):
-        # a golden-section search took 36 evaluations of the profiled
-        # variance here, the 17-point ranking grid counted as one
-        x, y, env = fig3_trace()
-        ye = (y - y.mean()) * env
-        best = fitting._coarse_scan(x, ye, np.ptp(x))
-        sizes = []
-        explained_by = fitting._explained_by
-
-        def counted_by(*args):
-            explained = explained_by(*args)
-
-            def counted(freqs):
-                sizes.append(freqs.size)
-                return explained(freqs)
-            return counted
-
-        monkeypatch.setattr(fitting, "_explained_by", counted_by)
-        fitting._zoom(x, ye, env**2, best, 0.25 / np.ptp(x))
-        assert sizes[0] == fitting.ZOOM_POINTS and len(sizes) <= 16
 
     def test_zoom_reaches_the_window_maximum(self):
         found, window = zoom_against_window(*fig3_trace())
@@ -560,6 +541,18 @@ def fit_with_oracle(data, undamped):
             oracle.x[3] if x0.size == 4 else 0.0)
 
 
+def fixed_solver_draws(count):
+    """``count`` draws of ``solver_trace``'s arguments from one seeded
+    stream, over the domain of the scipy comparison below."""
+    rng = np.random.default_rng(20110304)
+    return [dict(seed=int(rng.integers(2**32)), n=int(rng.integers(20, 301)),
+                 periods=float(rng.uniform(3.0, 40.0)),
+                 width=float(rng.uniform(0.3, 3.0)),
+                 noise=float(rng.choice([0.0, 0.01, 0.1, 0.5])),
+                 undamped=bool(rng.integers(2)),
+                 weighted=bool(rng.integers(2))) for _ in range(count)]
+
+
 class TestSolver:
     def test_linear_problem(self):
         rng = np.random.default_rng(3)
@@ -605,6 +598,31 @@ class TestSolver:
         for name, value in (("amplitude", 0.7), ("omega_f", TWO_PI * 0.35e6),
                             ("phi0", -1.1), ("sigma_alpha", 15e-6)):
             assert fit.params[name] == pytest.approx(value, rel=1e-9)
+
+    # The fit starts at the coarse scan's peak, whose bin is at most
+    # 1/(4 span) wide; started at the profiled peak near it instead, the
+    # solver ends in the same minimum.  Noiseless data leave residuals of
+    # rounding errors, whose squares no start orders, hence the absolute
+    # term of the chi2 bound.
+    @pytest.mark.parametrize("trace", [
+        pytest.param((DataSeries(*fig3_trace()[:2]), False), id="fig3"),
+        pytest.param((DataSeries(*jittered_trace()), False), id="jittered"),
+        *(pytest.param((solver_trace(**draw), draw["undamped"]),
+                       id=f"solver-{k}")
+          for k, draw in enumerate(fixed_solver_draws(20)))])
+    def test_coarse_start_ends_where_the_zoomed_start_does(self, trace):
+        data, undamped = trace
+        # the oracle zooms under the fit's own start envelope
+        kappa0 = 0.0 if undamped \
+            else 0.5 / fitting._second_moment_width(data.x, data.y)**2
+        start = zoomed_frequency(data.x, data.y, np.exp(-kappa0 * data.x**2))
+        coarse = fit_damped_sinusoid(data, undamped=undamped)
+        zoomed = fit_damped_sinusoid(data, {"omega_f": start}, undamped)
+        assert coarse.converged and zoomed.converged
+        assert abs(coarse.chi2_per_dof - zoomed.chi2_per_dof) \
+            <= 1e-9 * zoomed.chi2_per_dof + 1e-24 * float(np.mean(data.y**2))
+        assert coarse.params["omega_f"] == pytest.approx(
+            zoomed.params["omega_f"], rel=1e-8)
 
     # scipy is only the oracle here: from the same start on the same
     # residuals its trf reaches no lower chi2, and where both land in the

@@ -1,6 +1,6 @@
 """numpy erf, i0e, quad and pchip against scipy, which is only a test oracle
 here, gauss_legendre against numpy's eigenvalue-based leggauss, and the
-bracketed maximizer on a smooth peak and on a jump."""
+prefit oracle's bracketed maximizer on a smooth peak and on a jump."""
 
 import math
 import warnings
@@ -19,8 +19,8 @@ from becmemory.cli import main
 from becmemory.efficiency import (PulseParams, _eta_on_depth, _radial_line,
                                   _radial_weight, transverse_average_eta)
 from becmemory.eit import MediumParams
-from becmemory.numerics import (erf, gauss_legendre, i0e, maximize, pchip,
-                                quad)
+from becmemory.numerics import erf, gauss_legendre, i0e, pchip, quad
+from prefit_oracle import maximize
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 6.0, -6.0, 8.0, -8.0, 1e-300, -1e-300,
            math.inf, -math.inf, math.nan]

@@ -6,10 +6,10 @@ Usage (from anywhere inside the repository):
 
 Each revision is checked out into its own temporary clone, as
 ``tools/bench_pairs.py`` does.  Both run ``python -m becmemory.cli`` from
-their own ``src`` on the same 128 inputs: every parameter set of
+their own ``src`` on the same 129 inputs: every parameter set of
 perfbench's two CLI workloads (9 command variants x 12 sets, read from
 ``perfbench/workloads.py``), each variant once with its defaults (fig3
-to fig8, tomography, and optimize averaged and on axis), and eleven runs
+to fig8, tomography, and optimize averaged and on axis), and twelve runs
 of paths that no parameter set takes.  Four have the detector noise off
 (``detector.relative_sigma=0``): tomography with exact states, with
 3 x 300 shots and with attenuation on at sigma_B = 0, and fig4.  Four add
@@ -18,13 +18,15 @@ the slow-light delay to the rotation angle
 exact states and with 3 x 300 shots.  One runs tomography with 3 x 300
 shots at sigma_B = 0 and the detector noise on: every shot is the same,
 so their mean can leave the Poincare sphere by rounding, and this run
-takes ``clamp_physical``'s scaling branch.  Two run at a large detector
+takes ``clamp_physical``'s scaling branch.  Three run at a large detector
 noise, where every reconstruction leaves the memory form: tomography at
 ``detector.relative_sigma=0.8`` with 3 repeats, which prints a structure
-warning per repeat, and fig4 at 0.4, which suppresses them and so prints
-none (from 0.5 up its alpha(t) data resolve no decay and it exits 3).  The
-parameter sets, ``perfbench/checks.py`` and ``perfbench/reference.json``
-are read from PARENT's clone and never written.
+warning per repeat; tomography at 20 with 40 repeats, among whose warnings
+some texts repeat, each still printed; and fig4 at 0.4, which suppresses
+them and so prints none (from 0.5 up its alpha(t) data resolve no decay
+and it exits 3).  The parameter sets, ``perfbench/checks.py`` and
+``perfbench/reference.json`` are read from PARENT's clone and never
+written.
 
 Each side runs from its own working directory with the same relative
 ``--out`` path, so the two sides' stdout (``optimize``'s report and the
@@ -74,6 +76,9 @@ EXTRA_RUNS = {
     "tomography/noisy-detector": ["tomography", "--set",
                                   "detector.relative_sigma=0.8", "--set",
                                   "tomography.repeats=3"],
+    "tomography/repeated-warnings": ["tomography", "--set",
+                                     "detector.relative_sigma=20", "--set",
+                                     "tomography.repeats=40"],
     "fig4/noisy-detector": ["fig4", "--set", "detector.relative_sigma=0.4"],
 }
 

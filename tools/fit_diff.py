@@ -23,8 +23,9 @@ off the true frequency's basin (``checks.off_true_basin``), and every
 each side it also prints the median over the traces of the in-process
 time of one ``fit_damped_sinusoid`` call, the fastest of three on the same
 trace, the draws excluded, and the mean number of residual evaluations
-(``least_squares``' nfev) per fit.  It
-exits 1 when CHANGE fails ``check_fit`` on a trace, and 0 otherwise.
+(``least_squares``' nfev) per fit: over all traces, and over each fit
+workload's alone.  It exits 1 when CHANGE fails ``check_fit`` on a trace,
+and 0 otherwise.
 """
 
 import argparse
@@ -158,11 +159,16 @@ def compare(fits, checks, refs):
         f"fits off the true basin: parent {len(off['parent'])}, change "
         f"{len(off['change'])}; changed basin: "
         f"{sorted(off['parent'] ^ off['change'])}"]
+    workloads = sorted({k.split("/")[0] for k in keys})
     for side, side_fits in fits.items():
-        fit_ms = statistics.median(f["fit_s"] for f in side_fits.values())
-        nfev = statistics.mean(f["nfev"][0] for f in side_fits.values())
-        lines.append(f"{side}: median fit time {fit_ms * 1e3:.3f} ms, "
-                     f"mean nfev per fit {nfev:.2f}")
+        for workload in ("all", *workloads):
+            group = [f for k, f in side_fits.items()
+                     if workload in ("all", k.split("/")[0])]
+            fit_ms = statistics.median(f["fit_s"] for f in group)
+            nfev = statistics.mean(f["nfev"][0] for f in group)
+            lines.append(f"{side}, {workload}: median fit time "
+                         f"{fit_ms * 1e3:.3f} ms, mean nfev per fit "
+                         f"{nfev:.2f}")
     for side in fits:
         lines.append(f"check_fit failures, {side}: {len(failures[side])}")
         lines += [f"  {line}" for line in failures[side]]
