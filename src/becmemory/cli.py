@@ -19,6 +19,7 @@ from . import __version__
 from .commands import COMMANDS
 from .config import ConfigError, load_config
 from .csvio import write_table
+from .memory import NOISE_PRESETS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,9 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE", dest="overrides",
                        help="override one config key (repeatable)")
-        p.add_argument("--preset", metavar="NAME",
-                       help="noise preset: unsynchronized, line-synced, "
-                            "feed-forward or custom")
+        p.add_argument("--preset", metavar="NAME", help="noise preset: "
+                       f"{', '.join(NOISE_PRESETS)} or custom")
     return parser
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .eit import ControlField, MediumParams
 from .efficiency import PulseParams
-from .memory import NOISE_PRESETS, NoiseModel
+from .memory import DEFAULT_MEAN_BZ, NOISE_PRESETS, NoiseModel
 
 
 class ConfigError(Exception):
@@ -73,7 +73,7 @@ SCHEMA = {
     "pulse.waist_um": (8.0, POSITIVE),
     # magnetic-field noise; sigma_b_mg < 0 means "use the preset value"
     "noise.preset": ("line-synced", NOISE_PRESET),
-    "noise.mean_bz_g": (1.0 / 7.0, None),
+    "noise.mean_bz_g": (DEFAULT_MEAN_BZ, None),
     "noise.sigma_b_mg": (-1.0, None),
     # synthetic detector statistics
     "detector.relative_sigma": (0.02, NON_NEGATIVE),

@@ -10,11 +10,10 @@ come from the scaled inverse Gauss-Newton normal matrix at the optimum.
 
 The sinusoid fit starts the loop at the peak of one FFT of the data
 (``_coarse_scan``), close enough to land in the right frequency basin; the
-loop then solves for the frequency with the other parameters.  The
-sinusoid and the scaled model give the loop their analytic Jacobians.
-The Gaussian decay (fig4) gives it none and gets scipy's 2-point one:
-perfbench's fig4 reference records that Jacobian's bias, so the fit moves
-to an exact one only once the reference is re-derived (ROADMAP item 1).
+loop then solves for the frequency with the other parameters.  Each fit
+gives the loop its own Jacobian: the sinusoid and the scaled model their
+analytic ones, the Gaussian decay (fig4) scipy's 2-point difference,
+whose bias perfbench's fig4 reference records.
 """
 
 import math
@@ -28,21 +27,17 @@ from .numerics import pchip
 
 # Tolerance of the solver on the step, the decrease and the gradient.
 LSQ_TOL = 1e-13
+LSQ_MAX_NFEV = 2000     # residual evaluations before it stops, unconverged
 # Floor of the Levenberg-Marquardt parameter: it damps a step by a part in
 # 1e12 at most, and keeps the damped system regular where a column is 0.
 LM_LAMBDA_MIN = 1e-12
 
 
-def least_squares(fun, x0, jac=None, max_nfev=2000):
+def least_squares(fun, x0, jac):
     """Minimize sum(fun(x)**2) from ``x0`` by an unbounded numpy
-    Levenberg-Marquardt loop (More, LNM 630, 1978); perfbench's tracer
-    counts the result's ``nfev`` by this name.
-
-    ``jac`` is the Jacobian of ``fun``.  Without it, column i is scipy's
-    2-point forward difference: x_i steps by sqrt(eps) max(1, |x_i|), with
-    x_i's sign (+ at 0), and the difference is divided by the step as
-    rounded.  ``nfev`` counts no evaluation of this Jacobian, as scipy's
-    does not.
+    Levenberg-Marquardt loop (More, LNM 630, 1978), ``jac(x)`` being the
+    Jacobian of ``fun``; perfbench's tracer counts the result's ``nfev`` by
+    this name.  ``nfev`` counts the evaluations of ``fun`` only.
 
     Each step solves (J^T J + lam D) s = -J^T r, D the largest diag(J^T J)
     met so far.  lam follows Nielsen's rule (Madsen, Nielsen & Tingleff,
@@ -62,20 +57,13 @@ def least_squares(fun, x0, jac=None, max_nfev=2000):
     lowers the sum by at most ``LSQ_TOL`` of it, and by more than a quarter
     of the decrease the linear model predicted; 3 when the step, scaled by
     sqrt(D), is at most ``LSQ_TOL`` of the parameters so scaled; 0 when
-    ``max_nfev`` residual evaluations ran out.
+    ``LSQ_MAX_NFEV`` residual evaluations ran out.
     """
-    if jac is None:
-        def jac(x):
-            r = fun(x)
-            h = np.where(x >= 0, 1.0, -1.0) * math.sqrt(np.finfo(float).eps) \
-                * np.maximum(1.0, np.abs(x))
-            return np.column_stack([fun(x + step) - r
-                                    for step in np.diag(h)]) / ((x + h) - x)
     x = np.array(x0, dtype=float)
     r, jacobian = fun(x), jac(x)
     cost, lam, nu, nfev, status = float(r @ r), 1e-3, 2.0, 1, 0
     d = np.zeros(x.size)
-    while nfev < max_nfev:
+    while nfev < LSQ_MAX_NFEV:
         a = np.einsum("ni,nj->ij", jacobian, jacobian)
         g = np.einsum("ni,n->i", jacobian, r)
         # D keeps a column that fades out, as fig4's sigma column does when
@@ -154,21 +142,20 @@ class FitResult:
     message: str = ""
 
 
-def _finish(names, data: DataSeries, model, p0, jacobian=None) -> FitResult:
-    """Fit ``model(p, x)`` to ``data`` from ``p0`` by ``least_squares``,
-    with ``jacobian(p, x)``, the model's Jacobian, when given."""
+def _finish(names, data: DataSeries, model, p0, jacobian) -> FitResult:
+    """Fit ``model(p)`` and its Jacobian ``jacobian(p)``, both at ``data.x``,
+    to ``data`` from ``p0`` by ``least_squares``, weighted by 1/sigma_y."""
     weights = None if data.sigma_y is None else 1.0 / data.sigma_y
 
     def residuals(p):
-        r = model(p, data.x) - data.y
+        r = model(p) - data.y
         return r if weights is None else r * weights
 
     def weighted_jacobian(p):
-        j = jacobian(p, data.x)
+        j = jacobian(p)
         return j if weights is None else j * weights[:, None]
 
-    result = least_squares(residuals, p0,
-                           None if jacobian is None else weighted_jacobian)
+    result = least_squares(residuals, p0, weighted_jacobian)
     converged = result.status > 0
     dof = max(data.n - len(p0), 1)
     chi2 = float(result.fun @ result.fun) / dof
@@ -290,7 +277,7 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
 
     kappa0 = 0.0 if undamped else 0.5 / start(
         "sigma_alpha", lambda: _second_moment_width(data.x, data.y))**2
-    x2 = data.x**2      # of the only x that _finish passes the model
+    x2 = data.x**2
     envelope = np.exp(-kappa0 * x2)
     omega0 = start("omega_f",
                    lambda: _dominant_frequency(data.x, data.y, envelope))
@@ -302,17 +289,17 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
     amp0 = start("amplitude", lambda: max(math.hypot(a, b), 1e-12))
     phi00 = start("phi0", lambda: math.atan2(b, a))
 
-    def model(p, x):
+    def model(p):
         # an undamped fit leaves kappa out of p, pinned at 0
         amp, omega, phi0, kappa = (*p, 0.0)[:4]
-        return amp * np.exp(-kappa * x2) * np.cos(omega * x - phi0)
+        return amp * np.exp(-kappa * x2) * np.cos(omega * data.x - phi0)
 
-    def jacobian(p, x):
+    def jacobian(p):
         amp, omega, phi0, kappa = (*p, 0.0)[:4]
         e = np.exp(-kappa * x2)
-        phase = omega * x - phi0
+        phase = omega * data.x - phi0
         cos, sin = e * np.cos(phase), amp * e * np.sin(phase)
-        return np.column_stack([cos, -sin * x, sin,
+        return np.column_stack([cos, -sin * data.x, sin,
                                 -amp * cos * x2][:len(p)])
 
     names = ("amplitude", "omega_f", "phi0", "kappa")
@@ -343,6 +330,11 @@ def fit_damped_sinusoid(data: DataSeries, init: dict | None = None,
 def fit_gaussian_decay(data: DataSeries) -> FitResult:
     """Fit y = A exp(-x^2 / 2 sigma^2) to a decay trace.
 
+    Its Jacobian is scipy's 2-point forward difference: p_i steps by
+    sqrt(eps) max(1, |p_i|), with p_i's sign (+ at 0), over the step as
+    rounded.  perfbench's fig4 reference records that Jacobian's bias (up
+    to 2.7e-6 of sigma), so an exact one waits for ROADMAP item 1.
+
     The model is even in sigma, so the unbounded optimum folds to |sigma|.
     The fit reports no convergence when the data resolve no decay: when
     kappa = 1/(2 sigma^2) lies within one standard error of 0, which is
@@ -354,13 +346,20 @@ def fit_gaussian_decay(data: DataSeries) -> FitResult:
         return FitResult({}, {}, math.nan, False,
                          "non-identifiable: constant data leave sigma free")
 
-    def model(p, x):
+    def model(p):
         amp, sigma = p
-        return amp * np.exp(-x**2 / (2.0 * sigma**2))
+        return amp * np.exp(-data.x**2 / (2.0 * sigma**2))
+
+    def jacobian(p):
+        h = np.where(p >= 0, 1.0, -1.0) * math.sqrt(np.finfo(float).eps) \
+            * np.maximum(1.0, np.abs(p))
+        r = model(p) - data.y
+        return np.column_stack([model(p + step) - data.y - r
+                                for step in np.diag(h)]) / ((p + h) - p)
 
     fit = _finish(("amplitude", "sigma"), data, model,
                   [float(np.max(np.abs(data.y))),
-                   _second_moment_width(data.x, data.y)])
+                   _second_moment_width(data.x, data.y)], jacobian)
     fit = replace(fit, params=dict(fit.params, sigma=abs(fit.params["sigma"])))
     if fit.converged and fit.std_errors["sigma"] >= 0.5 * fit.params["sigma"]:
         return replace(fit, converged=False,
@@ -416,14 +415,14 @@ def fit_scaled_model(data: DataSeries, reference: DataSeries) -> FitResult:
     best = int(np.argmax(np.divide(cy**2, cc, out=np.full(cc.size, -1.0),
                                    where=cc > 0)))
 
-    def model(p, x):
+    def model(p):
         s_eta, s_omega = p
-        return s_eta * curve(s_omega * x)[0]
+        return s_eta * curve(s_omega * data.x)[0]
 
-    def jacobian(p, x):
+    def jacobian(p):
         s_eta, s_omega = p
-        value, slope = curve(s_omega * x)
-        return np.column_stack([value, s_eta * slope * x])
+        value, slope = curve(s_omega * data.x)
+        return np.column_stack([value, s_eta * slope * data.x])
 
     return _finish(("s_eta", "s_omega"), data, model,
                    [cy[best] / cc[best], grid[best]], jacobian)

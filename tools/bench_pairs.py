@@ -23,6 +23,7 @@ Nothing is computed, changed or left out: compare the sides from the file.
 """
 
 import argparse
+import contextlib
 import json
 import subprocess
 import sys
@@ -45,6 +46,22 @@ def checkout(repo, rev, path):
     return path
 
 
+@contextlib.contextmanager
+def two_trees(parent, change, prefix):
+    """Check ``parent`` and ``change`` out, each into its own clone in one
+    temporary directory named with ``prefix``, removed when the block ends.
+
+    Yields the repository root (of the working directory), {side: commit}
+    and {side: clone}, the sides being "parent" and "change".
+    """
+    repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
+    revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}", cwd=repo)
+            for side, rev in (("parent", parent), ("change", change))}
+    with tempfile.TemporaryDirectory(prefix=prefix) as tmp:
+        yield repo, revs, {side: checkout(repo, rev, Path(tmp) / side)
+                           for side, rev in revs.items()}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -58,15 +75,11 @@ def main(argv=None):
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
-    seconds = json.loads((repo / "BENCHMARK.json").read_text())["run_seconds"]
-    revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}", cwd=repo)
-            for side, rev in (("parent", args.parent),
-                              ("change", args.change))}
     out = args.out.resolve()
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {side: checkout(repo, rev, Path(tmp) / side)
-                 for side, rev in revs.items()}
+    with two_trees(args.parent, args.change, "bench_pairs_") \
+            as (repo, revs, trees):
+        seconds = json.loads(
+            (repo / "BENCHMARK.json").read_text())["run_seconds"]
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 \
                 else ("change", "parent")

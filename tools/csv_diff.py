@@ -47,10 +47,8 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
-from pathlib import Path
 
-from bench_pairs import checkout, git
+from bench_pairs import two_trees
 
 # perfbench's CLI workloads and the default runs of their command variants
 CLI_WORKLOADS = ("cli-short", "cli-efficiency")
@@ -147,14 +145,8 @@ def main(argv=None):
     parser.add_argument("change")
     args = parser.parse_args(argv)
 
-    repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
-    revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}", cwd=repo)
-            for side, rev in (("parent", args.parent),
-                              ("change", args.change))}
-    with tempfile.TemporaryDirectory(prefix="csv_diff_") as tmp:
-        tmp = Path(tmp)
-        trees = {side: checkout(repo, rev, tmp / side)
-                 for side, rev in revs.items()}
+    with two_trees(args.parent, args.change, "csv_diff_") \
+            as (_, revs, trees):
         sys.path.insert(0, str(trees["parent"] / "perfbench"))
         import workloads
         from checks import check_table
@@ -171,7 +163,7 @@ def main(argv=None):
             cli_argv = workloads.cli_args(params, out) if params \
                 else [*default_argv, "--out", out]
             for side, tree in trees.items():
-                cwd = tmp / "out" / side
+                cwd = tree.parent / "out" / side
                 cwd.mkdir(parents=True, exist_ok=True)
                 code, outs[side, label], errs[side, label] = run_cli(
                     tree, cli_argv, cwd)

@@ -35,11 +35,9 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
-from pathlib import Path
 from types import SimpleNamespace
 
-from bench_pairs import checkout, git
+from bench_pairs import two_trees
 
 # Run in each revision's interpreter: fit every trace, print one JSON object.
 # The wrappers record each fit's nfev and coarse-scan frequency, and time it
@@ -181,13 +179,8 @@ def main(argv=None):
     parser.add_argument("change")
     args = parser.parse_args(argv)
 
-    repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
-    revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}", cwd=repo)
-            for side, rev in (("parent", args.parent),
-                              ("change", args.change))}
-    with tempfile.TemporaryDirectory(prefix="fit_diff_") as tmp:
-        trees = {side: checkout(repo, rev, Path(tmp) / side)
-                 for side, rev in revs.items()}
+    with two_trees(args.parent, args.change, "fit_diff_") \
+            as (_, revs, trees):
         perfbench = trees["parent"] / "perfbench"
         fits = {side: fit_all(tree, perfbench)
                 for side, tree in trees.items()}
