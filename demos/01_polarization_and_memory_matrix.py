@@ -8,23 +8,19 @@ states and evaluates the state fidelity of the retrieved light.
 
 import math
 
-from becmemory import (BASIS_DA, BASIS_HV, BASIS_RL, MemoryParams,
-                       StokesVector, apply_mueller, average_process_fidelity,
-                       fidelity, measure, memory_mueller, poincare,
-                       stokes_from_intensities)
+from becmemory import (ANALYZERS, MemoryParams, StokesVector, apply_mueller,
+                       average_process_fidelity, fidelity, measure,
+                       memory_mueller, poincare, stokes_from_intensities)
 
 # A diagonal polarization state measured in the three analyzer settings.
 diag = StokesVector(1.0, 0.0, 1.0, 0.0)
 print("input state:", diag)
-for name, basis in (("H/V", BASIS_HV), ("D/A", BASIS_DA), ("R/L", BASIS_RL)):
-    plus, minus = measure(diag, basis)
-    print(f"  {name} ports: {plus:.3f} / {minus:.3f}")
+readings = measure(diag)    # (analyzer, port)
+for key, (plus, minus) in zip(ANALYZERS, readings):
+    print(f"  {key[0]}/{key[1]} ports: {plus:.3f} / {minus:.3f}")
 
 # Reassembling the six intensities reproduces the state.
-i_h, i_v = measure(diag, BASIS_HV)
-i_d, i_a = measure(diag, BASIS_DA)
-i_r, i_l = measure(diag, BASIS_RL)
-print("reconstructed:", stokes_from_intensities(i_h, i_v, i_d, i_a, i_r, i_l))
+print("reconstructed:", stokes_from_intensities(readings).as_array())
 
 # The memory: 40% efficiency, mild dephasing, a 0.8 rad Faraday rotation.
 process = memory_mueller(MemoryParams(eta=0.4, alpha=0.9, phi=0.8))

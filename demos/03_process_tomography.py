@@ -15,7 +15,7 @@ from becmemory import (INPUT_LABELS, MemoryParams, apply_detector_noise,
                        apply_mueller, average_process_fidelity,
                        canonical_inputs, measure, memory_mueller,
                        process_tomography, state_tomography,
-                       extract_memory_params, BASIS_HV, BASIS_DA, BASIS_RL)
+                       extract_memory_params)
 
 true_params = MemoryParams(eta=0.35, alpha=0.92, phi=0.6)
 process = memory_mueller(true_params)
@@ -27,11 +27,8 @@ print("true parameters:", true_params)
 print("probe inputs:", ", ".join(INPUT_LABELS))
 print(f"input-set condition number: {np.linalg.cond(inputs.as_array()):.2f}")
 stored = apply_mueller(process, inputs)
-readings = {}
-for key, basis in (("HV", BASIS_HV), ("DA", BASIS_DA), ("RL", BASIS_RL)):
-    pair = np.array(measure(stored, basis))     # (port, input)
-    noisy = apply_detector_noise(pair, rng, sigmas[1])
-    readings[key] = np.stack([pair, noisy], axis=1)   # (port, level, input)
+ports = measure(stored)                         # (input, analyzer, port)
+readings = np.stack([ports, apply_detector_noise(ports, rng, sigmas[1])])
 outputs = state_tomography(readings).stokes     # fields of shape (level, input)
 mueller = process_tomography(inputs, outputs)   # (level, 4, 4), one solve
 params, residuals = extract_memory_params(mueller)

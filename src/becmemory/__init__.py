@@ -28,9 +28,8 @@ from .memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix, NoiseModel,
                      average_process_fidelity, damping_factor,
                      faraday_frequency, memory_mueller, rotation_angle,
                      s1_trace, sample_shots, sigma_alpha_from_noise)
-from .polarization import (BASIS_DA, BASIS_HV, BASIS_RL, MeasurementBasis,
-                           PoincareVector, StokesVector, fidelity, measure,
-                           poincare, stokes_from_intensities)
+from .polarization import (ANALYZERS, PoincareVector, StokesVector, fidelity,
+                           measure, poincare, stokes_from_intensities)
 from .tomography import (INPUT_LABELS, StateTomographyResult,
                          StructureWarning, canonical_inputs,
                          extract_memory_params, process_tomography,

@@ -27,10 +27,11 @@ from .memory import (NOISE_PRESETS, MemoryParams, NoiseModel,
                      damping_factor, faraday_frequency, memory_mueller,
                      rotation_angle, s1_trace, sample_shots,
                      sigma_alpha_from_noise)
-from .polarization import PoincareVector, StokesVector, measure, poincare
-from .tomography import (ANALYZERS, INPUT_LABELS, StructureWarning,
-                         canonical_inputs, extract_memory_params,
-                         process_tomography, state_tomography)
+from .polarization import (ANALYZERS, PoincareVector, StokesVector, measure,
+                           poincare)
+from .tomography import (INPUT_LABELS, StructureWarning, canonical_inputs,
+                         extract_memory_params, process_tomography,
+                         state_tomography)
 
 
 @dataclass
@@ -76,14 +77,12 @@ def _tomography_sweep(cfg: RunConfig, t_store: np.ndarray, eta: float,
             for k, u in enumerate(poincare(inputs).as_array().T)]
             for t, tag in zip(t_store, tags)]).transpose(2, 0, 1)
     states = StokesVector(*(columns * cfg.attenuation_factor()))
-    ports = np.array([measure(states, basis) for basis in ANALYZERS.values()])
     readings = np.array([   # each time draws input-major, as (4, 3, 2)
         apply_detector_noise(
             per_time, np.random.default_rng(_child_seed(cfg, *tag, 7)),
             cfg.raw["detector.relative_sigma"], cfg.raw["detector.background"])
-        for per_time, tag in zip(ports.transpose(2, 3, 0, 1), tags)])
-    outputs = state_tomography(
-        dict(zip(ANALYZERS, readings.transpose(2, 3, 0, 1)))).stokes
+        for per_time, tag in zip(measure(states), tags)])
+    outputs = state_tomography(readings).stokes
     return (readings, outputs,
             *extract_memory_params(process_tomography(inputs, outputs)))
 

@@ -29,8 +29,13 @@ FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
 POSITIVE_FRACTION = ("in (0, 1]", lambda v: 0 < v <= 1)
 
 
-def _at_least(n: int):
-    return (f">= {n}", lambda v: v >= n)
+# Array lengths (size keys) up to 2**40 keep every array's byte count in
+# numpy's index range; no host can allocate 2**40 float64 (8 TiB) anyway.
+SIZE_BITS = 40
+
+
+def _size(n: int, bits: int = SIZE_BITS):
+    return (f"in [{n}, 2**{bits}]", lambda v: n <= v <= 2**bits)
 
 
 def _each(rule):
@@ -94,30 +99,30 @@ SCHEMA = {
     "fig3.window_length_us": (25.0, POSITIVE),
     "fig3.step_us": (0.25, POSITIVE),
     "fig3.phi0_rad": (0.0, None),
-    "fig4.n_points": (25, _at_least(3)),
-    "fig4.shots": (400, _at_least(2)),
+    "fig4.n_points": (25, _size(3)),
+    "fig4.shots": (400, _size(2)),
     "fig4.t_max_sigma_factor": (2.2, POSITIVE),
     "fig5.t_max_ms": (1.5, POSITIVE),
-    "fig5.n_points": (121, _at_least(2)),
+    "fig5.n_points": (121, _size(2)),
     "fig5.eta0": (1.0, FRACTION),
     "fig5.sigma_eta_fit_ms": (0.48, POSITIVE),
     "fig6.t_max_ms": (0.15, POSITIVE),
-    "fig6.n_points": (121, _at_least(2)),
+    "fig6.n_points": (121, _size(2)),
     "fig6.condensate_fractions": ("0.3,0.6,0.9", _each(FRACTION)),
     "fig6.temperature_uk": (1.0, POSITIVE),
     "fig7.omega_min_mhz": (5.0, POSITIVE),
     "fig7.omega_max_mhz": (60.0, None),         # > fig7.omega_min_mhz
-    "fig7.n_points": (221, _at_least(2)),
+    "fig7.n_points": (221, _size(2)),
     "fig8.span_resonant_mhz": (15.0, POSITIVE),
     "fig8.span_detuned_mhz": (2.0, POSITIVE),
     "fig8.delta_c_detuned_mhz": (70.0, None),
-    "fig8.n_points": (601, _at_least(3)),
+    "fig8.n_points": (601, _size(3)),
     "tomography.eta0": (0.5, POSITIVE_FRACTION),
-    "tomography.repeats": (1, _at_least(1)),
-    "tomography.shots": (0, NON_NEGATIVE),      # 0: ensemble-exact states
+    "tomography.repeats": (1, _size(1)),
+    "tomography.shots": (0, _size(0)),          # 0: ensemble-exact states
     "optimize.omega_min_mhz": (1.0, POSITIVE),
     "optimize.omega_max_mhz": (100.0, None),    # >= optimize.omega_min_mhz
-    "optimize.grid": (200, _at_least(2)),
+    "optimize.grid": (200, _size(2, SIZE_BITS // 2)),   # a grid x grid scan
     "optimize.averaged": (True, None),
 }
 
@@ -201,6 +206,9 @@ class RunConfig:
         if preset == "custom" and sigma_mg < 0:
             raise ConfigError(
                 "noise.preset = custom requires noise.sigma_b_mg")
+        if raw["fig3.window_length_us"] > raw["fig3.step_us"] * 2**SIZE_BITS:
+            raise ConfigError(f"fig3.window_length_us / fig3.step_us, the "
+                              f"samples per window, must be <= 2**{SIZE_BITS}")
         if raw["fig7.omega_max_mhz"] <= raw["fig7.omega_min_mhz"]:
             raise ConfigError(
                 "fig7.omega_max_mhz must be > fig7.omega_min_mhz")

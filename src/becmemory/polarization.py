@@ -3,10 +3,9 @@
 A polarization state is held as the four Stokes intensities (s0, s1, s2, s3);
 its normalized part (s1, s2, s3)/s0 is the Poincare vector, which lies on the
 unit sphere for pure states.  Projective measurements model a wave-plate + PBS
-stage with one detector in each output port.
+stage with one detector in each output port, in three analyzer settings.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +13,10 @@ import numpy as np
 # Degree-of-polarization excess up to this relative size is clamped onto the
 # sphere; larger violations are rejected as unphysical.
 DOP_TOLERANCE = 1e-9
+
+# The analyzers along the axis of (..., analyzer, port) readings; each plus
+# port passes the state on Poincare axis u1, u2 or u3, ports (plus, minus).
+ANALYZERS = ("HV", "DA", "RL")
 
 
 @dataclass(frozen=True)
@@ -62,23 +65,8 @@ class PoincareVector:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(self.u1**2 + self.u2**2 + self.u3**2)
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """A projective polarization analyzer, identified by its Poincare axis."""
-
-    axis: PoincareVector
-
-    def __post_init__(self):
-        if abs(self.axis.norm - 1.0) > 1e-9:
-            raise ValueError("measurement axis must be a unit Poincare vector")
-
-
-BASIS_HV = MeasurementBasis(PoincareVector(1.0, 0.0, 0.0))
-BASIS_DA = MeasurementBasis(PoincareVector(0.0, 1.0, 0.0))
-BASIS_RL = MeasurementBasis(PoincareVector(0.0, 0.0, 1.0))
+        return np.sqrt(np.square(self.u1) + np.square(self.u2)
+                       + np.square(self.u3))
 
 
 def clamp_physical(s: StokesVector) -> StokesVector:
@@ -109,18 +97,25 @@ def clamp_physical(s: StokesVector) -> StokesVector:
     return StokesVector(s.s0, s.s1 * scale, s.s2 * scale, s.s3 * scale)
 
 
-def stokes_from_intensities(i_h, i_v, i_d, i_a, i_r, i_l) -> StokesVector:
-    """Build a Stokes vector from the six analyzer intensities.
+def stokes_from_intensities(readings) -> StokesVector:
+    """Build a Stokes vector from (..., analyzer, port) port readings.
 
-    The three redundant basis sums are averaged into s0 so measurement noise
-    is treated symmetrically.  For noisy inputs the result may lie slightly
-    outside the Poincare sphere; it is returned as-is so callers can report
-    its degree of polarization.  The intensities may be arrays of one shape.
+    ``readings`` has shape (..., 3, 2), analyzers in ``ANALYZERS`` order,
+    one state per leading index.  The three redundant basis sums are
+    averaged into s0 so measurement noise is treated symmetrically.  For
+    noisy inputs the result may lie slightly outside the Poincare sphere; it
+    is returned as-is so callers can report its degree of polarization.
     """
-    if np.count_nonzero(np.less((i_h, i_v, i_d, i_a, i_r, i_l), 0)):
+    readings = np.asarray(readings, dtype=float)
+    if readings.shape[-2:] != (3, 2):
+        raise ValueError("readings must have shape (..., 3, 2), one (plus, "
+                         f"minus) pair per analyzer, got {readings.shape}")
+    if np.count_nonzero(readings < 0):
         raise ValueError("intensities must be non-negative")
-    s0 = ((i_h + i_v) + (i_d + i_a) + (i_r + i_l)) / 3.0
-    return StokesVector(s0, i_h - i_v, i_d - i_a, i_r - i_l)
+    sums = readings[..., 0] + readings[..., 1]
+    s0 = ((sums[..., 0] + sums[..., 1]) + sums[..., 2]) / 3.0
+    return StokesVector(s0, *np.moveaxis(readings[..., 0] - readings[..., 1],
+                                         -1, 0))
 
 
 def poincare(s: StokesVector) -> PoincareVector:
@@ -132,20 +127,21 @@ def poincare(s: StokesVector) -> PoincareVector:
 
 def fidelity(u_in: PoincareVector, u_out: PoincareVector) -> float:
     """State fidelity (1 + u_in . u_out)/2 for a pure input state."""
-    if abs(u_in.norm - 1.0) > 1e-6:
+    if np.any(np.abs(u_in.norm - 1.0) > 1e-6):
         raise ValueError("input state must be pure (unit Poincare vector)")
     dot = u_in.u1 * u_out.u1 + u_in.u2 * u_out.u2 + u_in.u3 * u_out.u3
     return 0.5 * (1.0 + dot)
 
 
-def measure(s: StokesVector, basis: MeasurementBasis) -> tuple[float, float]:
-    """Intensities at the two analyzer ports.
+def measure(s: StokesVector) -> np.ndarray:
+    """Intensities at the two ports of each analyzer, as (..., 3, 2).
 
-    The minus port is defined as the complement s0 - i_plus, so no
-    intensity is lost to independent rounding of the two ports.  A stack
-    of states gives two arrays of its shape.
+    Analyzers are in ``ANALYZERS`` order, ports (plus, minus); a stack of
+    states adds its shape in front.  The minus port is defined as the
+    complement s0 - i_plus, so no intensity is lost to independent rounding
+    of the two ports.
     """
-    s = clamp_physical(s)
-    b = basis.axis
-    i_plus = 0.5 * (s.s0 + b.u1 * s.s1 + b.u2 * s.s2 + b.u3 * s.s3)
-    return i_plus, s.s0 - i_plus
+    v = np.moveaxis(clamp_physical(s).as_array(), 0, -1)   # (..., 4)
+    s0 = v[..., :1]
+    i_plus = 0.5 * (s0 + v[..., 1:])
+    return np.stack([i_plus, s0 - i_plus], axis=-1)

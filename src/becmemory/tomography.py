@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .memory import MemoryParams, MuellerMatrix, memory_mueller
-from .polarization import (BASIS_DA, BASIS_HV, BASIS_RL, StokesVector,
-                           stokes_from_intensities)
-
-# The three analyzer settings, by the key of their state-tomography readings.
-ANALYZERS = {"HV": BASIS_HV, "DA": BASIS_DA, "RL": BASIS_RL}
+from .polarization import StokesVector, stokes_from_intensities
 
 # The probe inputs, in the order of canonical_inputs()'s states.
 INPUT_LABELS = ("H", "D", "R", "L")
@@ -53,25 +49,21 @@ class StateTomographyResult:
     consistent: bool        # s0_spread within S0_TOLERANCE
 
 
-def state_tomography(
-        readings: dict[str, tuple[float, float]]) -> StateTomographyResult:
-    """Reconstruct a Stokes vector from (i_plus, i_minus) per basis setting.
+def state_tomography(readings) -> StateTomographyResult:
+    """Reconstruct a Stokes vector from (..., analyzer, port) readings.
 
-    ``readings`` must contain the keys "HV", "DA" and "RL"; the intensities
-    may be arrays of one shape, one state per element, and every field of
-    the result then has that shape.  The three redundant total intensities
-    are compared; disagreement beyond ``S0_TOLERANCE`` (relative) only flags
-    the result, it does not raise.
+    ``readings`` has shape (..., 3, 2), (i_plus, i_minus) per analyzer in
+    ``polarization.ANALYZERS`` order, as ``measure`` gives them; every field
+    of the result has the leading shape.  The three redundant total
+    intensities are compared; disagreement beyond ``S0_TOLERANCE``
+    (relative) only flags the result, it does not raise.
     """
-    missing = [k for k in ANALYZERS if k not in readings]
-    if missing:
-        raise ValueError(f"missing basis settings: {missing}")
-    (i_h, i_v), (i_d, i_a), (i_r, i_l) = (readings[k] for k in ANALYZERS)
-    s = stokes_from_intensities(i_h, i_v, i_d, i_a, i_r, i_l)
+    s = stokes_from_intensities(readings)
     # s0 is the mean of the three sums; where it is 0 they are, and so is
     # the spread
-    sums = np.array([i_h + i_v, i_d + i_a, i_r + i_l])
-    spread = np.abs(sums - s.s0).max(axis=0) / np.where(s.s0 > 0, s.s0, 1.0)
+    sums = np.sum(readings, axis=-1)
+    spread = np.abs(sums - s.s0[..., None]).max(axis=-1) \
+        / np.where(s.s0 > 0, s.s0, 1.0)
     dop = np.divide(s.polarized_intensity, s.s0, where=s.s0 > 0,
                     out=np.full(np.shape(s.s0), math.nan))[()]
     return StateTomographyResult(s, dop, spread, spread <= S0_TOLERANCE)

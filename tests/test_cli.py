@@ -102,6 +102,25 @@ class TestConfigParsing:
 
 
 class TestRunConfig:
+    @pytest.mark.parametrize("key, largest", [
+        ("fig4.n_points", 2**40), ("fig4.shots", 2**40),
+        ("fig5.n_points", 2**40), ("fig6.n_points", 2**40),
+        ("fig7.n_points", 2**40), ("fig8.n_points", 2**40),
+        ("tomography.repeats", 2**40), ("tomography.shots", 2**40),
+        ("optimize.grid", 2**20)])
+    def test_size_keys_are_bounded(self, key, largest):
+        # the bound keeps every array's byte count in numpy's index range
+        assert RunConfig.from_mapping({key: largest}).raw[key] == largest
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be"):
+            RunConfig.from_mapping({key: largest + 1})
+
+    def test_fig3_samples_per_window_bounded(self):
+        assert RunConfig.from_mapping({"fig3.window_length_us": 2.0**40,
+                                       "fig3.step_us": 1.0})
+        with pytest.raises(ConfigError, match="samples per window"):
+            RunConfig.from_mapping({"fig3.window_length_us": 2.0**40,
+                                    "fig3.step_us": 0.5})
+
     def test_defaults_are_reference_values(self, cfg):
         assert cfg.raw["medium.atom_number"] == 1.2e6
         assert cfg.medium.r_x == pytest.approx(7e-6)
@@ -624,6 +643,33 @@ class TestCommandLine:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("becmem: config error: cannot allocate")
+
+    @pytest.mark.parametrize("command, setting", [
+        ("fig5", f"fig5.n_points={10**30}"),
+        ("fig8", f"fig8.n_points={10**20}"),
+        ("optimize", f"optimize.grid={10**20}"),
+        ("fig4", f"fig4.shots={10**20}"),
+        ("tomography", f"tomography.shots={10**20}"),
+        ("fig3", "fig3.step_us=1e-300"),
+        ("fig3", "fig3.window_length_us=1e300")])
+    def test_size_past_the_index_range_exit_code(self, command, setting,
+                                                 monkeypatch, capsys):
+        # arrays no index can address: a config error, raised before the
+        # command runs, so nothing is allocated
+        def unreachable(cfg):
+            raise AssertionError(f"{command} ran with {setting}")
+        monkeypatch.setitem(cli.COMMANDS, command, unreachable)
+        assert main([command, "--set", setting]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("becmem: config error: ")
+        assert setting.partition("=")[0] in lines[0]
+
+    def test_seed_past_the_index_range_runs(self, tmp_path):
+        # SeedSequence takes any non-negative integer
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", *FAST_OVERRIDES["fig3"], "--seed",
+                     str(10**29), "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("fractions", ["0.5,0.5", "0.3,0.3000001"])
     def test_fig6_duplicate_columns_exit_code(self, fractions, capsys,

@@ -5,36 +5,41 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from becmemory.polarization import (BASIS_DA, BASIS_HV, BASIS_RL,
-                                    DOP_TOLERANCE, MeasurementBasis,
-                                    PoincareVector, StokesVector,
-                                    clamp_physical, fidelity, measure,
-                                    poincare, stokes_from_intensities)
+from becmemory.polarization import (DOP_TOLERANCE, PoincareVector,
+                                    StokesVector, clamp_physical, fidelity,
+                                    measure, poincare,
+                                    stokes_from_intensities)
+from becmemory.tomography import canonical_inputs
 
 from conftest import random_physical_stokes
 
 
 class TestStokesFromIntensities:
     def test_pure_h(self):
-        s = stokes_from_intensities(1, 0, 0.5, 0.5, 0.5, 0.5)
+        s = stokes_from_intensities([[1, 0], [0.5, 0.5], [0.5, 0.5]])
         assert (s.s0, s.s1, s.s2, s.s3) == (1.0, 1.0, 0.0, 0.0)
 
     def test_pure_r(self):
         # right-circular light drives the sigma+ transition
-        s = stokes_from_intensities(0.5, 0.5, 0.5, 0.5, 1, 0)
+        s = stokes_from_intensities([[0.5, 0.5], [0.5, 0.5], [1, 0]])
         assert (s.s0, s.s1, s.s2, s.s3) == (1.0, 0.0, 0.0, 1.0)
 
     def test_unpolarized(self):
-        s = stokes_from_intensities(0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
+        s = stokes_from_intensities([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
         assert (s.s0, s.s1, s.s2, s.s3) == (1.0, 0.0, 0.0, 0.0)
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
-            stokes_from_intensities(-0.1, 0.5, 0.5, 0.5, 0.5, 0.5)
+            stokes_from_intensities([[-0.1, 0.5], [0.5, 0.5], [0.5, 0.5]])
 
     def test_s0_averages_the_three_sums(self):
-        s = stokes_from_intensities(0.9, 0.0, 0.5, 0.5, 0.4, 0.6)
+        s = stokes_from_intensities([[0.9, 0.0], [0.5, 0.5], [0.4, 0.6]])
         assert s.s0 == pytest.approx((0.9 + 1.0 + 1.0) / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 3), (4, 2), (2, 3)])
+    def test_other_than_three_pairs_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(\.\.\., 3, 2\)"):
+            stokes_from_intensities(np.full(shape, 0.5))
 
 
 class TestPoincare:
@@ -93,16 +98,31 @@ class TestFidelity:
                                                      abs=1e-15)
             assert fidelity(ua, ua) == pytest.approx(1.0, abs=1e-12)
 
+    def test_stack(self):
+        # a stack of inputs gives each pair its scalar call's bits
+        u = poincare(canonical_inputs())
+        assert u.norm.tolist() == [1.0] * 4
+        v = PoincareVector(*u.as_array()[::-1])
+        for out in (u, v):
+            each = [fidelity(PoincareVector(*a), PoincareVector(*b))
+                    for a, b in zip(u.as_array().T, out.as_array().T)]
+            assert fidelity(u, out).tobytes() == np.array(each).tobytes()
+
+    def test_stack_with_one_impure_input_rejected(self):
+        u = PoincareVector(np.array([1.0, 0.5]), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="must be pure"):
+            fidelity(u, u)
+
 
 class TestMeasure:
     def test_h_in_hv(self):
-        assert measure(StokesVector(1, 1, 0, 0), BASIS_HV) == (1.0, 0.0)
+        assert measure(StokesVector(1, 1, 0, 0))[0].tolist() == [1.0, 0.0]
 
     def test_h_in_da_is_unbiased(self):
-        assert measure(StokesVector(1, 1, 0, 0), BASIS_DA) == (0.5, 0.5)
+        assert measure(StokesVector(1, 1, 0, 0))[1].tolist() == [0.5, 0.5]
 
     def test_linearity(self):
-        plus, minus = measure(StokesVector(1, 0, 0, 0.6), BASIS_RL)
+        plus, minus = measure(StokesVector(1, 0, 0, 0.6))[2]
         assert plus == pytest.approx(0.8, rel=1e-15)
         assert minus == pytest.approx(0.2, rel=1e-15)
 
@@ -111,18 +131,9 @@ class TestMeasure:
         # one rounding ulp of s0
         for row in random_physical_stokes(rng, 200):
             s = StokesVector(*row)
-            for basis in (BASIS_HV, BASIS_DA, BASIS_RL):
-                plus, minus = measure(s, basis)
+            for plus, minus in measure(s):
                 assert plus + minus == pytest.approx(s.s0, rel=5e-16)
                 assert plus >= 0 and minus >= 0
-
-    def test_arbitrary_axis_positivity(self, rng):
-        for row in random_physical_stokes(rng, 100):
-            s = StokesVector(*row)
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            plus, minus = measure(s, MeasurementBasis(PoincareVector(*axis)))
-            assert plus >= -1e-15 and minus >= -1e-15
 
 
 class TestRoundTrip:
@@ -132,10 +143,7 @@ class TestRoundTrip:
                 StokesVector(1, 0, 0, 0)]
 
     def reconstruct(self, s):
-        i_h, i_v = measure(s, BASIS_HV)
-        i_d, i_a = measure(s, BASIS_DA)
-        i_r, i_l = measure(s, BASIS_RL)
-        return stokes_from_intensities(i_h, i_v, i_d, i_a, i_r, i_l)
+        return stokes_from_intensities(measure(s))
 
     def test_canonical_states_exact(self):
         for s in self.canonical_states():
@@ -186,17 +194,6 @@ class TestPhysicalityClamp:
             s.degree_of_polarization
 
 
-class TestMeasurementBasis:
-    def test_unit_axis_required(self):
-        with pytest.raises(ValueError):
-            MeasurementBasis(PoincareVector(0.5, 0.5, 0.0))
-
-    def test_canonical_axes(self):
-        assert BASIS_HV.axis.as_array().tolist() == [1.0, 0.0, 0.0]
-        assert BASIS_DA.axis.as_array().tolist() == [0.0, 1.0, 0.0]
-        assert BASIS_RL.axis.as_array().tolist() == [0.0, 0.0, 1.0]
-
-
 # one state: s0, a direction and |s_vec|/s0 (|s_vec| itself at s0 = 0), from
 # inside the sphere to just beyond the clamp's tolerance
 STATES = st.tuples(
@@ -223,11 +220,12 @@ def outcome(fn, *args):
 
 
 def fields(result, k=None):
-    """The bytes of a state or a pair of port intensities, or of element k
-    of their stack."""
-    values = np.array(list(vars(result).values()) if isinstance(
-        result, StokesVector) else result, dtype=float)
-    return (values if k is None else values[:, k]).tobytes()
+    """The bytes of a state or of its port readings, or of element k of
+    their stack."""
+    if isinstance(result, StokesVector):
+        values = result.as_array()
+        return (values if k is None else values[:, k]).tobytes()
+    return (result if k is None else result[k]).tobytes()
 
 
 def broadcast_outcome(fn, each_args, stack_args):
@@ -262,16 +260,11 @@ class TestBroadcast:
         if broadcast_outcome(clamp_physical, [(s,) for s in singles],
                              (stack,)) is None:
             return
-        intensities = []
-        for basis in (BASIS_HV, BASIS_DA, BASIS_RL):
-            ports = broadcast_outcome(measure, [(s, basis) for s in singles],
-                                      (stack, basis))
-            if ports is None:
-                return
-            intensities += ports
-        broadcast_outcome(stokes_from_intensities,
-                          [[i[k] for i in intensities]
-                           for k in range(len(rows))], intensities)
+        ports = broadcast_outcome(measure, [(s,) for s in singles],
+                                  (stack,))
+        if ports is not None:
+            broadcast_outcome(stokes_from_intensities,
+                              [(p,) for p in ports], (ports,))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(STATES, min_size=1, max_size=6))
@@ -292,7 +285,8 @@ class TestBroadcast:
         good = np.full(3, 0.5)
         bad = np.array([0.5, -1e-3, 0.5])
         with pytest.raises(ValueError) as scalar:
-            stokes_from_intensities(0.5, -1e-3, 0.5, 0.5, 0.5, 0.5)
+            stokes_from_intensities([[0.5, -1e-3], [0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError,
                            match=f"^{re.escape(str(scalar.value))}$"):
-            stokes_from_intensities(good, bad, good, good, good, good)
+            stokes_from_intensities(np.moveaxis(
+                np.array([[good, bad], [good, good], [good, good]]), -1, 0))

@@ -16,23 +16,19 @@ from becmemory.memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix,
                               damping_factor, faraday_frequency,
                               memory_mueller, rotation_angle, sample_shots,
                               sigma_alpha_from_noise)
-from becmemory.polarization import (BASIS_DA, BASIS_HV, BASIS_RL,
-                                    StokesVector, measure, poincare)
-from becmemory.tomography import (ANALYZERS, StructureWarning,
-                                  canonical_inputs, extract_memory_params,
-                                  process_tomography, state_tomography)
+from becmemory.polarization import StokesVector, measure, poincare
+from becmemory.tomography import (StructureWarning, canonical_inputs,
+                                  extract_memory_params, process_tomography,
+                                  state_tomography)
 
 from conftest import column, read_table
 
 
 def readings_for(s: StokesVector, rng=None, sigma=0.0):
-    out = {}
-    for key, basis in (("HV", BASIS_HV), ("DA", BASIS_DA), ("RL", BASIS_RL)):
-        pair = np.array(measure(s, basis))
-        if rng is not None:
-            pair = apply_detector_noise(pair, rng, sigma)
-        out[key] = (float(pair[0]), float(pair[1]))
-    return out
+    readings = measure(s)
+    if rng is not None:
+        readings = apply_detector_noise(readings, rng, sigma)
+    return readings
 
 
 def outputs_for(m: np.ndarray) -> StokesVector:
@@ -73,14 +69,15 @@ class TestStateTomography:
         assert pulls.max() < 3.0
 
     def test_inconsistent_s0_flagged(self):
-        readings = {"HV": (1.0, 0.0), "DA": (0.7, 0.7), "RL": (0.5, 0.5)}
+        readings = np.array([(1.0, 0.0), (0.7, 0.7), (0.5, 0.5)])
         result = state_tomography(readings)
         assert not result.consistent
         assert result.s0_spread > 0.1
 
     def test_missing_basis(self):
-        with pytest.raises(ValueError):
-            state_tomography({"HV": (1.0, 0.0), "DA": (0.5, 0.5)})
+        with pytest.raises(ValueError, match="one \\(plus, minus\\) pair "
+                                             "per analyzer"):
+            state_tomography(np.array([(1.0, 0.0), (0.5, 0.5)]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(*[st.floats(0.0, 2.0)] * 6), min_size=1,
@@ -91,15 +88,11 @@ class TestStateTomography:
     def test_scalar_call_gives_array_element_bits(self, intensities):
         # a stack's readings reconstruct each state to the bits of its own
         # scalar call, or raise the ValueError of its offending state
-        columns = np.array(intensities).T
-        stack = {key: (columns[2 * j], columns[2 * j + 1])
-                 for j, key in enumerate(ANALYZERS)}
+        stack = np.reshape(intensities, (-1, 3, 2))
         singles = []
         for row in intensities:
             try:
-                singles.append(state_tomography(
-                    {key: (row[2 * j], row[2 * j + 1])
-                     for j, key in enumerate(ANALYZERS)}))
+                singles.append(state_tomography(np.reshape(row, (3, 2))))
             except ValueError as exc:
                 with pytest.raises(ValueError,
                                    match=f"^{re.escape(str(exc))}$"):
@@ -146,14 +139,11 @@ def looped_tomography(cfg, t_store, eta, noise, shots, rep_tags):
             out = sample_shots(poincare(s_in), t_store, tau_d, eta, noise,
                                shots, seed(k)).mean(axis=0)
         s_out = StokesVector(*(out * cfg.attenuation_factor()))
-        pairs = {}
-        for key, basis in ANALYZERS.items():
-            pair = apply_detector_noise(
-                measure(s_out, basis), rng, cfg.raw["detector.relative_sigma"],
-                cfg.raw["detector.background"])
-            pairs[key] = (float(pair[0]), float(pair[1]))
-        readings.append([pairs[key] for key in ANALYZERS])
-        outputs.append(state_tomography(pairs).stokes)
+        pairs = [apply_detector_noise(
+            pair, rng, cfg.raw["detector.relative_sigma"],
+            cfg.raw["detector.background"]) for pair in measure(s_out)]
+        readings.append(pairs)
+        outputs.append(state_tomography(np.array(pairs)).stokes)
     params, residual = extract_memory_params(
         process_tomography(canonical_inputs(), stack_of(outputs)))
     return readings, outputs, params, residual
@@ -440,8 +430,7 @@ class TestNoiseScaling:
         m_true = memory_mueller(MemoryParams(0.3, 0.9, 0.7)).m
         inputs = canonical_inputs()
         states = outputs_for(m_true)
-        ports = np.array([measure(states, basis)
-                          for basis in ANALYZERS.values()])
+        ports = measure(states)     # (input, analyzer, port)
         epsilons = (0.01, 0.025, 0.05)
         n = 1500
         spreads = {"eta": [], "alpha": []}
@@ -449,11 +438,8 @@ class TestNoiseScaling:
             rng = np.random.default_rng(2024)
             # drawn repetition- then input-major, as (n, 4, 3, 2)
             readings = apply_detector_noise(
-                np.broadcast_to(ports.transpose(2, 0, 1), (n, 4, 3, 2)),
-                rng, eps)
-            outputs = state_tomography(
-                dict(zip(ANALYZERS, readings.transpose(2, 3, 0, 1))))
-            outputs = outputs.stokes.as_array()
+                np.broadcast_to(ports, (n, 4, 3, 2)), rng, eps)
+            outputs = state_tomography(readings).stokes.as_array()
             etas, alphas = [], []
             for rep in range(n):
                 with warnings.catch_warnings():

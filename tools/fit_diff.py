@@ -20,12 +20,14 @@ sigma_alpha = inf, every trace whose convergence changed, how many coarse
 frequency scans (``fitting._coarse_scan``) returned other bits, the fits
 off the true frequency's basin (``checks.off_true_basin``), and every
 ``check_fit`` failure of either side against perfbench's reference.  For
-each side it also prints the median over the traces of the in-process
-time of one ``fit_damped_sinusoid`` call, the fastest of three on the same
-trace, the draws excluded, and the mean number of residual evaluations
+each side it also prints the mean number of residual evaluations
 (``least_squares``' nfev) per fit: over all traces, and over each fit
 workload's alone.  It exits 1 when CHANGE fails ``check_fit`` on a trace,
 and 0 otherwise.
+
+It prints no fit times: the two sides run one after the other, so a slow
+phase of the host would land on one side only.  ``tools/bench_pairs.py``
+alternates the two revisions and is the tool for time.
 """
 
 import argparse
@@ -40,10 +42,9 @@ from types import SimpleNamespace
 from bench_pairs import two_trees
 
 # Run in each revision's interpreter: fit every trace, print one JSON object.
-# The wrappers record each fit's nfev and coarse-scan frequency, and time it
-# three times.
+# The wrappers record each fit's nfev and coarse-scan frequency.
 FIT_ALL = """
-import json, sys, time
+import json, sys
 sys.path.insert(0, sys.argv[1])
 import becmemory, fit_worker, workloads
 from becmemory import fitting
@@ -56,17 +57,6 @@ def recorded(fn, key, value):
         return result
     return wrapper
 
-def timed(*args, **kwargs):
-    walls = []
-    for _ in range(3):
-        start = time.perf_counter()
-        result = fit_damped_sinusoid(*args, **kwargs)
-        walls.append(time.perf_counter() - start)
-    seen["fit_s"] = min(walls)
-    return result
-
-fit_damped_sinusoid = becmemory.fit_damped_sinusoid
-becmemory.fit_damped_sinusoid = timed
 fitting.least_squares = recorded(fitting.least_squares, "nfev",
                                  lambda r: r.nfev)
 fitting._coarse_scan = recorded(fitting._coarse_scan, "scan", float.hex)
@@ -162,10 +152,8 @@ def compare(fits, checks, refs):
         for workload in ("all", *workloads):
             group = [f for k, f in side_fits.items()
                      if workload in ("all", k.split("/")[0])]
-            fit_ms = statistics.median(f["fit_s"] for f in group)
             nfev = statistics.mean(f["nfev"][0] for f in group)
-            lines.append(f"{side}, {workload}: median fit time "
-                         f"{fit_ms * 1e3:.3f} ms, mean nfev per fit "
+            lines.append(f"{side}, {workload}: mean nfev per fit "
                          f"{nfev:.2f}")
     for side in fits:
         lines.append(f"check_fit failures, {side}: {len(failures[side])}")
