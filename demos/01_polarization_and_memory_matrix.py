@@ -10,7 +10,7 @@ import math
 
 from becmemory import (ANALYZERS, MemoryParams, StokesVector, apply_mueller,
                        average_process_fidelity, fidelity, measure,
-                       memory_mueller, poincare, stokes_from_intensities)
+                       memory_mueller, poincare, state_tomography)
 
 # A diagonal polarization state measured in the three analyzer settings.
 diag = StokesVector(1.0, 0.0, 1.0, 0.0)
@@ -20,7 +20,7 @@ for key, (plus, minus) in zip(ANALYZERS, readings):
     print(f"  {key[0]}/{key[1]} ports: {plus:.3f} / {minus:.3f}")
 
 # Reassembling the six intensities reproduces the state.
-print("reconstructed:", stokes_from_intensities(readings).as_array())
+print("reconstructed:", state_tomography(readings).stokes.as_array())
 
 # The memory: 40% efficiency, mild dephasing, a 0.8 rad Faraday rotation.
 process = memory_mueller(MemoryParams(eta=0.4, alpha=0.9, phi=0.8))

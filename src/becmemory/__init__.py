@@ -29,7 +29,7 @@ from .memory import (NOISE_PRESETS, MemoryParams, MuellerMatrix, NoiseModel,
                      faraday_frequency, memory_mueller, rotation_angle,
                      s1_trace, sample_shots, sigma_alpha_from_noise)
 from .polarization import (ANALYZERS, PoincareVector, StokesVector, fidelity,
-                           measure, poincare, stokes_from_intensities)
+                           measure, poincare)
 from .tomography import (INPUT_LABELS, StateTomographyResult,
                          StructureWarning, canonical_inputs,
                          extract_memory_params, process_tomography,

@@ -23,10 +23,10 @@ from . import eit
 from .config import RunConfig, fig6_columns, parse_float_list
 from .fitting import DataSeries, fit_gaussian_decay
 from .memory import (NOISE_PRESETS, MemoryParams, NoiseModel,
-                     apply_detector_noise, average_process_fidelity,
-                     damping_factor, faraday_frequency, memory_mueller,
-                     rotation_angle, s1_trace, sample_shots,
-                     sigma_alpha_from_noise)
+                     apply_detector_noise, apply_mueller,
+                     average_process_fidelity, damping_factor,
+                     faraday_frequency, memory_mueller, rotation_angle,
+                     s1_trace, sample_shots, sigma_alpha_from_noise)
 from .polarization import (ANALYZERS, PoincareVector, StokesVector, measure,
                            poincare)
 from .tomography import (INPUT_LABELS, StructureWarning, canonical_inputs,
@@ -68,8 +68,8 @@ def _tomography_sweep(cfg: RunConfig, t_store: np.ndarray, eta: float,
     if shots == 0:
         alpha = damping_factor(t_store, sigma_alpha_from_noise(noise.sigma_b))
         phi = rotation_angle(t_store, tau_d, faraday_frequency(noise.mean_bz))
-        columns = np.moveaxis(memory_mueller(MemoryParams(eta, alpha, phi)).m
-                              @ inputs.as_array(), -2, 0)
+        columns = apply_mueller(memory_mueller(MemoryParams(eta, alpha, phi)),
+                                inputs).as_array()
     else:
         columns = np.array([[
             sample_shots(PoincareVector(*u), t, tau_d, eta, noise, shots,

@@ -231,11 +231,9 @@ class RunConfig:
             pulse = PulseParams(tau_p=raw["pulse.tau_p_ns"] * 1e-9,
                                 t0=raw["pulse.t0_ns"] * 1e-9,
                                 waist=raw["pulse.waist_um"] * 1e-6)
-            if preset == "custom":
-                noise = NoiseModel(raw["noise.mean_bz_g"], sigma_mg * 1e-3,
-                                   "custom")
-            else:
-                noise = NoiseModel.from_preset(preset, raw["noise.mean_bz_g"])
+            # "custom", the one preset NOISE_PRESETS lacks, takes sigma_mg
+            noise = NoiseModel(raw["noise.mean_bz_g"],
+                               NOISE_PRESETS.get(preset, sigma_mg * 1e-3))
         except (ValueError, ZeroDivisionError) as exc:
             # a product of in-range keys can still underflow to 0
             raise ConfigError(str(exc)) from exc

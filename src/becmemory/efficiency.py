@@ -160,8 +160,7 @@ def transverse_average_eta(omega_c, pulse: PulseParams, medium: MediumParams):
             * _eta_on_depth(d_p, omega_c, pulse.t0, pulse.tau_p,
                             medium.gamma_total, transit)
 
-    value, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10,
-                    limit=200)
+    value, _ = quad(integrand, 0.0, 1.0)
     return value
 
 

@@ -144,18 +144,12 @@ class FitResult:
 
 def _finish(names, data: DataSeries, model, p0, jacobian) -> FitResult:
     """Fit ``model(p)`` and its Jacobian ``jacobian(p)``, both at ``data.x``,
-    to ``data`` from ``p0`` by ``least_squares``, weighted by 1/sigma_y."""
-    weights = None if data.sigma_y is None else 1.0 / data.sigma_y
-
-    def residuals(p):
-        r = model(p) - data.y
-        return r if weights is None else r * weights
-
-    def weighted_jacobian(p):
-        j = jacobian(p)
-        return j if weights is None else j * weights[:, None]
-
-    result = least_squares(residuals, p0, weighted_jacobian)
+    to ``data`` from ``p0`` by ``least_squares``, weighted by 1/sigma_y
+    (by 1 without it)."""
+    weights = 1.0 / (np.ones(data.n) if data.sigma_y is None
+                     else data.sigma_y)
+    result = least_squares(lambda p: (model(p) - data.y) * weights, p0,
+                           lambda p: jacobian(p) * weights[:, None])
     converged = result.status > 0
     dof = max(data.n - len(p0), 1)
     chi2 = float(result.fun @ result.fun) / dof

@@ -64,7 +64,6 @@ class NoiseModel:
 
     mean_bz: float          # gauss
     sigma_b: float          # gauss, rms shot-to-shot fluctuation
-    preset: str = "custom"
 
     def __post_init__(self):
         if self.sigma_b < 0:
@@ -77,7 +76,7 @@ class NoiseModel:
                 f"unknown noise preset {name!r}; expected one of "
                 f"{sorted(NOISE_PRESETS)}")
         bz = DEFAULT_MEAN_BZ if mean_bz is None else mean_bz
-        return cls(bz, NOISE_PRESETS[name], name)
+        return cls(bz, NOISE_PRESETS[name])
 
 
 FARADAY_RATE = 2.0 * math.pi * MU_B_OVER_H * G_F * DELTA_MF   # rad/s/G

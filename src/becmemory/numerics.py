@@ -68,6 +68,8 @@ _X = np.concatenate([_XK, -_XK[-2::-1]])
 _V = np.concatenate([_WK, _WK[-2::-1]])
 _W = np.concatenate([_WG, _WG[::-1]])
 QUAD_BATCH = 128     # most intervals split per round, as in quad_vec
+# quad's goal max(QUAD_EPSABS, QUAD_EPSREL |value|), and its interval cap
+QUAD_EPSABS, QUAD_EPSREL, QUAD_LIMIT = 1e-13, 1e-10, 200
 
 
 def _horner(x, coef):
@@ -156,7 +158,7 @@ def _gk21(f, lo, hi):
     return h * s_k, err, rnd, shape
 
 
-def quad(f, a, b, epsabs=1e-200, epsrel=1e-8, limit=10000):
+def quad(f, a, b):
     """Adaptive integral of ``f`` over the finite [a, b]: (value, abserr).
 
     ``f`` takes a 1-D array of nodes and returns its values with the nodes
@@ -164,19 +166,19 @@ def quad(f, a, b, epsabs=1e-200, epsrel=1e-8, limit=10000):
     then a float, or (..., k).  Each round halves the intervals of largest
     error, as many as quad_vec would (at most QUAD_BATCH).  It stops when
     the summed error estimate (a 2-norm over the values) is below
-    max(epsabs, epsrel |value|) / 8 or below the summed rounding error, or
-    is not finite (the value then is not either), or at ``limit``
-    intervals.  abserr adds both error sums.
+    max(QUAD_EPSABS, QUAD_EPSREL |value|) / 8 or below the summed rounding
+    error, or is not finite (the value then is not either), or at
+    QUAD_LIMIT intervals.  abserr adds both error sums.
     """
     lo, hi = np.array([float(a)]), np.array([float(b)])
     ints, errs, rnds, shape = _gk21(f, lo, hi)
     total, error, rounding = ints[:, 0], errs[0], rnds[0]
-    while lo.size < limit:
-        tol = max(epsabs, epsrel * _norm(total))
+    while lo.size < QUAD_LIMIT:
+        tol = max(QUAD_EPSABS, QUAD_EPSREL * _norm(total))
         order = np.lexsort((lo, -errs))
         popped = np.cumsum(errs[order[:min(lo.size, QUAD_BATCH) - 1]])
         n = min(1 + np.count_nonzero(popped <= error - tol / 8),
-                limit - lo.size)
+                QUAD_LIMIT - lo.size)
         split, keep = order[:n], order[n:]
         mid = 0.5 * (lo[split] + hi[split])
         lo = np.concatenate([lo[keep], lo[split], mid])
@@ -188,7 +190,7 @@ def quad(f, a, b, epsabs=1e-200, epsrel=1e-8, limit=10000):
         rounding += new_rnds.sum()
         ints = np.concatenate([ints[:, keep], new_ints], axis=1)
         errs = np.concatenate([errs[keep], new_errs])
-        if error < max(epsabs, epsrel * _norm(total)) / 8 \
+        if error < max(QUAD_EPSABS, QUAD_EPSREL * _norm(total)) / 8 \
                 or error < rounding or not math.isfinite(error + rounding):
             break
     value = float(total[0]) if shape == () else total.reshape(shape)

@@ -97,27 +97,6 @@ def clamp_physical(s: StokesVector) -> StokesVector:
     return StokesVector(s.s0, s.s1 * scale, s.s2 * scale, s.s3 * scale)
 
 
-def stokes_from_intensities(readings) -> StokesVector:
-    """Build a Stokes vector from (..., analyzer, port) port readings.
-
-    ``readings`` has shape (..., 3, 2), analyzers in ``ANALYZERS`` order,
-    one state per leading index.  The three redundant basis sums are
-    averaged into s0 so measurement noise is treated symmetrically.  For
-    noisy inputs the result may lie slightly outside the Poincare sphere; it
-    is returned as-is so callers can report its degree of polarization.
-    """
-    readings = np.asarray(readings, dtype=float)
-    if readings.shape[-2:] != (3, 2):
-        raise ValueError("readings must have shape (..., 3, 2), one (plus, "
-                         f"minus) pair per analyzer, got {readings.shape}")
-    if np.count_nonzero(readings < 0):
-        raise ValueError("intensities must be non-negative")
-    sums = readings[..., 0] + readings[..., 1]
-    s0 = ((sums[..., 0] + sums[..., 1]) + sums[..., 2]) / 3.0
-    return StokesVector(s0, *np.moveaxis(readings[..., 0] - readings[..., 1],
-                                         -1, 0))
-
-
 def poincare(s: StokesVector) -> PoincareVector:
     """Normalize the polarized part of a Stokes vector (or of a stack)."""
     if np.any(s.s0 <= 0):

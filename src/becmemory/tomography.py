@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .memory import MemoryParams, MuellerMatrix, memory_mueller
-from .polarization import StokesVector, stokes_from_intensities
+from .polarization import StokesVector
 
 # The probe inputs, in the order of canonical_inputs()'s states.
 INPUT_LABELS = ("H", "D", "R", "L")
@@ -55,17 +55,27 @@ def state_tomography(readings) -> StateTomographyResult:
     ``readings`` has shape (..., 3, 2), (i_plus, i_minus) per analyzer in
     ``polarization.ANALYZERS`` order, as ``measure`` gives them; every field
     of the result has the leading shape.  The three redundant total
-    intensities are compared; disagreement beyond ``S0_TOLERANCE``
-    (relative) only flags the result, it does not raise.
+    intensities are averaged into s0, so measurement noise is treated
+    symmetrically, and compared: disagreement beyond ``S0_TOLERANCE``
+    (relative) only flags the result, it does not raise.  A noisy state may
+    lie slightly outside the Poincare sphere; it is returned as-is, with
+    its degree of polarization.
     """
-    s = stokes_from_intensities(readings)
-    # s0 is the mean of the three sums; where it is 0 they are, and so is
-    # the spread
-    sums = np.sum(readings, axis=-1)
-    spread = np.abs(sums - s.s0[..., None]).max(axis=-1) \
-        / np.where(s.s0 > 0, s.s0, 1.0)
-    dop = np.divide(s.polarized_intensity, s.s0, where=s.s0 > 0,
-                    out=np.full(np.shape(s.s0), math.nan))[()]
+    readings = np.asarray(readings, dtype=float)
+    if readings.shape[-2:] != (3, 2):
+        raise ValueError("readings must have shape (..., 3, 2), one (plus, "
+                         f"minus) pair per analyzer, got {readings.shape}")
+    if np.count_nonzero(readings < 0):
+        raise ValueError("intensities must be non-negative")
+    sums = readings[..., 0] + readings[..., 1]
+    s0 = ((sums[..., 0] + sums[..., 1]) + sums[..., 2]) / 3.0
+    s = StokesVector(s0, *np.moveaxis(readings[..., 0] - readings[..., 1],
+                                      -1, 0))
+    # where s0 is 0 the three sums are, and so is the spread
+    spread = np.abs(sums - s0[..., None]).max(axis=-1) \
+        / np.where(s0 > 0, s0, 1.0)
+    dop = np.divide(s.polarized_intensity, s0, where=s0 > 0,
+                    out=np.full(np.shape(s0), math.nan))[()]
     return StateTomographyResult(s, dop, spread, spread <= S0_TOLERANCE)
 
 

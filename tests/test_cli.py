@@ -30,7 +30,7 @@ class TestConfigParsing:
                         "pulse.tau_p_ns = 100\n")
         cfg = load_config(str(path))
         assert cfg.raw["medium.atom_number"] == 2e6
-        assert cfg.noise.preset == "feed-forward"
+        assert cfg.noise.sigma_b == NOISE_PRESETS["feed-forward"]
         assert cfg.pulse.tau_p == pytest.approx(100e-9)
 
     def test_malformed_line(self):

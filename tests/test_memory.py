@@ -333,7 +333,6 @@ class TestNoiseModel:
                                  "feed-forward": 2e-4}
         model = NoiseModel.from_preset("feed-forward")
         assert model.sigma_b == 2e-4
-        assert model.preset == "feed-forward"
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

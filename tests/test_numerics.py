@@ -127,14 +127,17 @@ def test_scalar_integrand_gives_a_float():
 
 
 @pytest.mark.parametrize("limit", [1, 2, 10, 37])
-def test_limit_caps_the_interval_count(limit):
+def test_limit_caps_the_interval_count(limit, monkeypatch):
+    monkeypatch.setattr(numerics, "QUAD_EPSABS", 0.0)
+    monkeypatch.setattr(numerics, "QUAD_EPSREL", 1e-14)
+    monkeypatch.setattr(numerics, "QUAD_LIMIT", limit)
     nodes = []
 
     def step(x):
         nodes.append(x.size)
         return np.where(x < 1.0 / 3.0, 0.0, 1.0)
 
-    _, err = quad(step, 0.0, 1.0, epsabs=0.0, epsrel=1e-14, limit=limit)
+    _, err = quad(step, 0.0, 1.0)
     # 21 nodes per interval: the first interval, then both halves of each
     # of the limit - 1 splits
     assert sum(nodes) == 21 * (2 * limit - 1)
@@ -143,14 +146,15 @@ def test_limit_caps_the_interval_count(limit):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_non_finite_integrand_stops_after_one_round(bad):
+def test_non_finite_integrand_stops_after_one_round(bad, monkeypatch):
+    monkeypatch.setattr(numerics, "QUAD_LIMIT", 10_000)
     calls = []
 
     def f(x):
         calls.append(x.size)
         return np.where(x > 0.7, bad, x)
 
-    value, err = quad(f, 0.0, 1.0, limit=10_000)
+    value, err = quad(f, 0.0, 1.0)
     assert not math.isfinite(value) and not math.isfinite(err)
     assert len(calls) == 2
 

@@ -7,39 +7,43 @@ from hypothesis import strategies as st
 
 from becmemory.polarization import (DOP_TOLERANCE, PoincareVector,
                                     StokesVector, clamp_physical, fidelity,
-                                    measure, poincare,
-                                    stokes_from_intensities)
-from becmemory.tomography import canonical_inputs
+                                    measure, poincare)
+from becmemory.tomography import canonical_inputs, state_tomography
 
 from conftest import random_physical_stokes
 
 
+def stokes_of(readings):
+    """The Stokes vector state tomography reconstructs from ``readings``."""
+    return state_tomography(readings).stokes
+
+
 class TestStokesFromIntensities:
     def test_pure_h(self):
-        s = stokes_from_intensities([[1, 0], [0.5, 0.5], [0.5, 0.5]])
+        s = stokes_of([[1, 0], [0.5, 0.5], [0.5, 0.5]])
         assert (s.s0, s.s1, s.s2, s.s3) == (1.0, 1.0, 0.0, 0.0)
 
     def test_pure_r(self):
         # right-circular light drives the sigma+ transition
-        s = stokes_from_intensities([[0.5, 0.5], [0.5, 0.5], [1, 0]])
+        s = stokes_of([[0.5, 0.5], [0.5, 0.5], [1, 0]])
         assert (s.s0, s.s1, s.s2, s.s3) == (1.0, 0.0, 0.0, 1.0)
 
     def test_unpolarized(self):
-        s = stokes_from_intensities([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+        s = stokes_of([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
         assert (s.s0, s.s1, s.s2, s.s3) == (1.0, 0.0, 0.0, 0.0)
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
-            stokes_from_intensities([[-0.1, 0.5], [0.5, 0.5], [0.5, 0.5]])
+            stokes_of([[-0.1, 0.5], [0.5, 0.5], [0.5, 0.5]])
 
     def test_s0_averages_the_three_sums(self):
-        s = stokes_from_intensities([[0.9, 0.0], [0.5, 0.5], [0.4, 0.6]])
+        s = stokes_of([[0.9, 0.0], [0.5, 0.5], [0.4, 0.6]])
         assert s.s0 == pytest.approx((0.9 + 1.0 + 1.0) / 3.0, rel=1e-15)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 3), (4, 2), (2, 3)])
     def test_other_than_three_pairs_rejected(self, shape):
         with pytest.raises(ValueError, match=r"shape \(\.\.\., 3, 2\)"):
-            stokes_from_intensities(np.full(shape, 0.5))
+            stokes_of(np.full(shape, 0.5))
 
 
 class TestPoincare:
@@ -143,7 +147,7 @@ class TestRoundTrip:
                 StokesVector(1, 0, 0, 0)]
 
     def reconstruct(self, s):
-        return stokes_from_intensities(measure(s))
+        return stokes_of(measure(s))
 
     def test_canonical_states_exact(self):
         for s in self.canonical_states():
@@ -263,7 +267,7 @@ class TestBroadcast:
         ports = broadcast_outcome(measure, [(s,) for s in singles],
                                   (stack,))
         if ports is not None:
-            broadcast_outcome(stokes_from_intensities,
+            broadcast_outcome(stokes_of,
                               [(p,) for p in ports], (ports,))
 
     @settings(max_examples=100, deadline=None)
@@ -285,8 +289,8 @@ class TestBroadcast:
         good = np.full(3, 0.5)
         bad = np.array([0.5, -1e-3, 0.5])
         with pytest.raises(ValueError) as scalar:
-            stokes_from_intensities([[0.5, -1e-3], [0.5, 0.5], [0.5, 0.5]])
+            stokes_of([[0.5, -1e-3], [0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError,
                            match=f"^{re.escape(str(scalar.value))}$"):
-            stokes_from_intensities(np.moveaxis(
+            stokes_of(np.moveaxis(
                 np.array([[good, bad], [good, good], [good, good]]), -1, 0))
