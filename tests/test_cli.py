@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import re
 import tempfile
@@ -5,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from becmemory import cli
@@ -756,3 +758,81 @@ def test_schema_override_exit_codes(case):
                 except ValueError:
                     continue
                 assert math.isfinite(value), (key, text, cell)
+
+
+# The model's range of every column it names (re.fullmatch on the name):
+# efficiencies, dampings and fidelities, s1/s0, port intensities and Im chi.
+# alpha_fit is a fitted curve, free to overshoot, and is exempt.
+COLUMN_RANGES = [
+    (r"eta(_.+)?|alpha|alpha_tomography|alpha_model|avg_fidelity", 0.0, 1.0),
+    (r"s1_over_s0_.+", -1.0, 1.0),
+    (r"i_plus|i_minus|im_chi_.+", 0.0, math.inf),
+]
+
+# The numerical failures the CLI documents: non-convergent fits, singular
+# reconstructions and a non-finite table.  Exit 3 carries one of these.
+NUMERICAL_FAILURES = ("did not converge", "the data resolve no decay",
+                      "non-identifiable", "input states are ill-conditioned",
+                      "singular Jacobian at the optimum",
+                      "non-finite value in the output table")
+
+
+SHARED_OWNERS = sorted({key.split(".")[0] for key in SCHEMA_KEYS}
+                       - set(FAST_OVERRIDES))
+
+
+@st.composite
+def _run_overrides(draw):
+    """A command and 1-3 overrides of its own keys or of shared ones."""
+    command = draw(st.sampled_from(sorted(FAST_OVERRIDES)))
+    keys = [key for key in SCHEMA_KEYS
+            if key.split(".")[0] in (command, *SHARED_OWNERS)]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3))
+    return command, [f"{key}={draw(_override_text(key))}" for key in chosen]
+
+
+def _at_fast_defaults(test):
+    """Run ``test`` on every command at its fast defaults too, so that a
+    range broken there shows whatever hypothesis draws."""
+    for command in sorted(FAST_OVERRIDES):
+        test = example(case=(command, []))(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(_run_overrides())
+@_at_fast_defaults
+def test_accepted_overrides_keep_the_model_ranges(case):
+    """An accepted config exits 0 with every named column in its range, or
+    3 with a documented numerical failure; any other exits 2."""
+    command, drawn = case
+    overrides = FAST_OVERRIDES[command][1::2] + drawn
+    try:
+        load_config(overrides=overrides)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(stderr):
+        out = f"{tmp}/out.csv"
+        code = main([command, "--out", out]
+                    + [arg for item in overrides for arg in ("--set", item)])
+        if code == 0:
+            _, header, rows = read_table(out)
+    failure = stderr.getvalue().splitlines()[-1:]
+    if not accepted:
+        assert code == 2, (case, failure)
+        return
+    assert code in (0, 3), (case, code, failure)
+    if code == 3:
+        assert failure[0].startswith("becmem: numerical failure: ")
+        assert any(text in failure[0] for text in NUMERICAL_FAILURES), \
+            (case, failure)
+        return
+    for name in header:
+        for pattern, lo, hi in COLUMN_RANGES:
+            if re.fullmatch(pattern, name):
+                values = column(header, rows, name)
+                assert all(lo <= v <= hi for v in values), \
+                    (case, name, min(values), max(values))

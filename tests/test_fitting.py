@@ -481,7 +481,7 @@ class TestFrequencyScan:
         strict=True, raises=AssertionError,
         reason="the coarse scan ranks an alias at f = 0.6817 first, which "
                "explains 2.41; the direct scan finds the drawn 0.3126, "
-               "which explains 3.07 (ROADMAP items 5 and 8)")
+               "which explains 3.07 (ROADMAP item 4)")
     def test_lattice_scan_alias_draw(self):
         # a draw on which the oracle above fails, whichever draws the
         # hypothesis database holds: 16 samples of a damped sinusoid
@@ -932,3 +932,32 @@ class TestDataSeries:
         result = FitResult({"a": 1.0}, {"a": 0.1}, 1.0, True)
         assert result.params["a"] == 1.0
         assert result.converged
+
+
+def unit_weight_cases():
+    """(fit, data) for each fit shape, on noisy data that leave residuals."""
+    rng = np.random.default_rng(20120402)
+    x, y, _ = fig3_trace()
+    decay_x = np.linspace(0.0, 1.1e-3, 25)
+    decay_y = 0.9 * np.exp(-decay_x**2 / (2.0 * 0.48e-3**2)) \
+        + 0.02 * rng.normal(size=decay_x.size)
+    ref = TestScaledModel().reference()
+    scaled_x = np.linspace(6.0, 28.0, 45)
+    scaled_y = 0.5 * np.interp(2.0 * scaled_x, ref.x, ref.y) \
+        + 0.01 * rng.normal(size=scaled_x.size)
+    return {"sinusoid": (fit_damped_sinusoid, x, y),
+            "jittered sinusoid": (fit_damped_sinusoid, *jittered_trace()),
+            "gaussian decay": (fit_gaussian_decay, decay_x, decay_y),
+            "scaled model": (lambda data: fit_scaled_model(data, ref),
+                             scaled_x, scaled_y)}
+
+
+@pytest.mark.parametrize("case", sorted(unit_weight_cases()))
+def test_unit_sigma_y_gives_the_unweighted_fit(case):
+    # sigma_y = 1 everywhere takes the path an unweighted fit takes; repr
+    # round-trips every float, so equal reprs are equal bits
+    fit, x, y = unit_weight_cases()[case]
+    plain = fit(DataSeries(x, y))
+    weighted = fit(DataSeries(x, y, np.ones(x.size)))
+    assert plain.converged
+    assert repr(weighted) == repr(plain)
