@@ -776,7 +776,7 @@ NUMERICAL_FAILURES = ("did not converge", "the data resolve no decay",
                       "singular Jacobian at the optimum",
                       "non-finite value in the output table")
 
-
+# the key prefixes no command owns: medium, noise, detector, seed, ...
 SHARED_OWNERS = sorted({key.split(".")[0] for key in SCHEMA_KEYS}
                        - set(FAST_OVERRIDES))
 
@@ -806,7 +806,7 @@ def test_accepted_overrides_keep_the_model_ranges(case):
     """An accepted config exits 0 with every named column in its range, or
     3 with a documented numerical failure; any other exits 2."""
     command, drawn = case
-    overrides = FAST_OVERRIDES[command][1::2] + drawn
+    overrides = FAST_OVERRIDES[command][1::2] + drawn   # the KEY=VALUE items
     try:
         load_config(overrides=overrides)
         accepted = True

@@ -935,7 +935,7 @@ class TestDataSeries:
 
 
 def unit_weight_cases():
-    """(fit, data) for each fit shape, on noisy data that leave residuals."""
+    """(fit, x, y) for each fit shape, on noisy data that leave residuals."""
     rng = np.random.default_rng(20120402)
     x, y, _ = fig3_trace()
     decay_x = np.linspace(0.0, 1.1e-3, 25)
@@ -954,8 +954,8 @@ def unit_weight_cases():
 
 @pytest.mark.parametrize("case", sorted(unit_weight_cases()))
 def test_unit_sigma_y_gives_the_unweighted_fit(case):
-    # sigma_y = 1 everywhere takes the path an unweighted fit takes; repr
-    # round-trips every float, so equal reprs are equal bits
+    # an unweighted fit is weighted by 1, so sigma_y = 1 must change no
+    # bit; repr round-trips every float, so equal reprs are equal bits
     fit, x, y = unit_weight_cases()[case]
     plain = fit(DataSeries(x, y))
     weighted = fit(DataSeries(x, y, np.ones(x.size)))
