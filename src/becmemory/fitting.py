@@ -211,7 +211,10 @@ def _coarse_scan(x, ye, span):
     np.add.at(grid, nodes, weights * ye[:, None])
     bin_width = 1.0 / (n_fft * delta)
     first = math.ceil(0.25 / (span * bin_width))
-    top = n_fft // (2 * refine)
+    # off the lattice the grid's band ends at round(span / dx) / (2 span),
+    # past 0.5/dx when span / dx rounds up; rank no bin beyond 0.5/dx
+    top = n_fft // 2 if refine == 1 \
+        else min(n_fft // 4, int(0.5 / (dx * bin_width)))
     # square only the ranked bins: off the lattice that is half the spectrum
     power = np.abs(np.fft.rfft(grid, n_fft)[first:top + 1])**2
     return (first + int(np.argmax(power))) * bin_width
